@@ -81,21 +81,6 @@ fn bench_machine_spmv(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_parallel_spmv(c: &mut Criterion) {
-    let mut group = c.benchmark_group("spmv_parallel");
-    group.sample_size(20);
-    let qp = generate(Domain::Lasso, 20, 1);
-    let a = qp.a();
-    let x = vec![1.0; a.ncols()];
-    let mut y = vec![0.0; a.nrows()];
-    for threads in [1usize, 4, 8] {
-        group.bench_with_input(BenchmarkId::new("threads", threads), &threads, |b, &t| {
-            b.iter(|| a.spmv_parallel(&x, &mut y, t).unwrap());
-        });
-    }
-    group.finish();
-}
-
 fn bench_orderings(c: &mut Criterion) {
     use rsqp_linsys::{min_degree_ordering, rcm_ordering, SymmetricPermutation};
     let mut group = c.benchmark_group("kkt_ordering");
@@ -136,7 +121,6 @@ criterion_group!(
     bench_ldlt,
     bench_pcg,
     bench_machine_spmv,
-    bench_parallel_spmv,
     bench_orderings,
     bench_rom
 );

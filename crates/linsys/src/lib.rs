@@ -15,8 +15,9 @@
 //!   `σ`, `ρ`, with cheap ρ updates that reuse the symbolic factorization,
 //! * [`ReducedKktOp`] — the matrix-free reduced-KKT operator,
 //! * [`pcg`] — Algorithm 2 with a Jacobi (diagonal) preconditioner,
-//! * [`rcm_ordering`] — Reverse-Cuthill-McKee fill-reducing ordering (our
-//!   substitution for SuiteSparse AMD; see `DESIGN.md`).
+//! * [`min_degree_ordering`] (the default) and [`rcm_ordering`] —
+//!   fill-reducing orderings (our substitution for SuiteSparse AMD; see
+//!   `DESIGN.md`).
 //!
 //! # Example: solving a tiny KKT system both ways
 //!

@@ -6,10 +6,27 @@
 //! the natural ordering as a baseline, plus the [`SymmetricPermutation`]
 //! plumbing that applies an ordering to the KKT system while preserving
 //! O(nnz) numeric refresh for ρ updates.
+//!
+//! Minimum degree runs once per sparsity pattern, but on the default
+//! (direct LDLᵀ) path it is part of every cold solve, so it is kept close
+//! to the factorization's own cost: the elimination graph lives in flat
+//! per-vertex hash sets, and clique formation skips neighbour pairs that a
+//! previous clique already connected. It stays *exact*: the output equals
+//! classical minimum degree with a (degree, index) tie-break, which the
+//! unit tests check against a `BTreeSet` elimination graph on every
+//! benchmark family and on random graphs. [`SymmetricPermutation::new`]
+//! buckets entries with two counting passes, O(n + nnz).
+
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, HashSet};
+use std::hash::{BuildHasherDefault, Hasher};
 
 use rsqp_sparse::CscMatrix;
 
 use crate::LinsysError;
+
+#[cfg(test)]
+mod reference;
 
 /// Computes a Reverse-Cuthill-McKee ordering of the symmetric matrix whose
 /// upper triangle is `upper`.
@@ -181,20 +198,29 @@ mod tests {
 /// triangle is `upper` — our stand-in for SuiteSparse AMD (see `DESIGN.md`).
 ///
 /// Classical minimum degree on the elimination graph: repeatedly eliminate
-/// a vertex of smallest current degree and connect its neighbours into a
-/// clique. Vertices whose degree exceeds `dense_threshold(n)` are deferred
-/// to the end (AMD's dense-row handling), which keeps the clique formation
-/// from going quadratic on nearly-dense rows.
+/// the live vertex of smallest (current degree, index) and connect its
+/// neighbours into a clique. Vertices whose degree exceeds
+/// `dense_threshold(n)` when they are picked are deferred instead (AMD's
+/// dense-row handling), which keeps the clique formation from going
+/// quadratic on nearly-dense rows; they are appended in index order. The
+/// degrees are exact, so the permutation is the one any textbook
+/// implementation of this rule returns (the unit tests check it against a
+/// `BTreeSet` elimination graph).
+///
+/// Cost: one hash set of live neighbours per vertex, built in O(nnz).
+/// Eliminating a pivot of degree `d` sorts its neighbours by clique stamp
+/// (O(d log d)), inserts one edge per neighbour pair from *different*
+/// stamps (at most `d²`, usually far fewer), and pushes a heap entry for
+/// each neighbour whose degree changed (O(log n) each).
 ///
 /// Returns `perm` such that new index `i` corresponds to old index
 /// `perm[i]`.
 ///
 /// # Errors
 ///
-/// Returns [`LinsysError::Dimension`] if `upper` is not square.
+/// Returns [`LinsysError::Dimension`] if `upper` is not square or has more
+/// than `u32::MAX` columns.
 pub fn min_degree_ordering(upper: &CscMatrix) -> Result<Vec<usize>, LinsysError> {
-    use std::collections::BTreeSet;
-
     let n = upper.ncols();
     if upper.nrows() != n {
         return Err(LinsysError::Dimension(format!(
@@ -203,13 +229,30 @@ pub fn min_degree_ordering(upper: &CscMatrix) -> Result<Vec<usize>, LinsysError>
             n
         )));
     }
-    let mut adj: Vec<BTreeSet<usize>> = vec![BTreeSet::new(); n];
+    if u32::try_from(n).is_err() {
+        return Err(LinsysError::Dimension(format!(
+            "min_degree_ordering supports at most {} vertices, got {n}",
+            u32::MAX
+        )));
+    }
+    let mut degree = vec![0usize; n];
     for j in 0..n {
-        let (rows, _) = upper.col(j);
-        for &i in rows {
+        for &i in upper.col(j).0 {
             if i != j {
-                adj[i].insert(j);
-                adj[j].insert(i);
+                degree[i] += 1;
+                degree[j] += 1;
+            }
+        }
+    }
+    let mut adj: Vec<Neighbours> = degree
+        .iter()
+        .map(|&d| Neighbours::with_capacity_and_hasher(d, Default::default()))
+        .collect();
+    for j in 0..n {
+        for &i in upper.col(j).0 {
+            if i != j {
+                adj[i].insert(j as u32);
+                adj[j].insert(i as u32);
             }
         }
     }
@@ -217,64 +260,127 @@ pub fn min_degree_ordering(upper: &CscMatrix) -> Result<Vec<usize>, LinsysError>
     let mut eliminated = vec![false; n];
     let mut order = Vec::with_capacity(n);
     let mut deferred: Vec<usize> = Vec::new();
+    // `clique[u]` is the last pivot whose neighbourhood `u` joined (or the
+    // unique value `n + u` before any): live vertices with the same stamp
+    // are pairwise adjacent already, because edges between live vertices
+    // are never removed.
+    let mut clique: Vec<usize> = (n..2 * n).collect();
+    let mut nbrs: Vec<u32> = Vec::new();
+    // Every live vertex always has an entry holding its current degree;
+    // entries whose vertex was eliminated or whose degree changed are stale.
+    let mut heap: BinaryHeap<Reverse<u64>> = (0..n).map(|v| heap_key(adj[v].len(), v)).collect();
 
-    // Simple bucketed selection: scan for the minimum current degree.
-    // A binary heap with lazy invalidation avoids O(n^2) scans.
-    let mut heap: std::collections::BinaryHeap<std::cmp::Reverse<(usize, usize)>> =
-        (0..n).map(|v| std::cmp::Reverse((adj[v].len(), v))).collect();
-
-    while order.len() + deferred.len() < n {
-        let v = loop {
-            let Some(std::cmp::Reverse((deg, v))) = heap.pop() else {
-                // Heap exhausted by stale entries; fall back to a scan.
-                break (0..n)
-                    .filter(|&u| !eliminated[u])
-                    .min_by_key(|&u| adj[u].len())
-                    .expect("some vertex remains");
-            };
-            if eliminated[v] || deg != adj[v].len() {
-                continue; // stale heap entry
-            }
-            break v;
-        };
-        if adj[v].len() > dense_cap {
-            // Defer dense vertices: mark eliminated but order them last.
-            eliminated[v] = true;
-            deferred.push(v);
-            // Remove from neighbours without forming a clique (AMD treats
-            // dense rows as if eliminated last).
-            let nbrs: Vec<usize> = adj[v].iter().copied().collect();
-            for &u in &nbrs {
-                adj[u].remove(&v);
-                heap.push(std::cmp::Reverse((adj[u].len(), u)));
-            }
-            adj[v].clear();
+    while let Some(Reverse(key)) = heap.pop() {
+        let (deg, v) = ((key >> 32) as usize, (key & u64::from(u32::MAX)) as usize);
+        if eliminated[v] || deg != adj[v].len() {
             continue;
         }
         eliminated[v] = true;
-        order.push(v);
-        let nbrs: Vec<usize> = adj[v].iter().copied().collect();
-        // Connect neighbours into a clique and drop v.
-        for (a_idx, &a) in nbrs.iter().enumerate() {
-            adj[a].remove(&v);
-            for &b in &nbrs[a_idx + 1..] {
-                adj[a].insert(b);
-                adj[b].insert(a);
+        nbrs.clear();
+        nbrs.extend(std::mem::take(&mut adj[v]));
+        if deg > dense_cap {
+            // Defer dense vertices: drop them from the graph without forming
+            // a clique (AMD treats dense rows as if eliminated last).
+            deferred.push(v);
+            for &u in &nbrs {
+                let u = u as usize;
+                adj[u].remove(&(v as u32));
+                heap.push(heap_key(adj[u].len(), u));
             }
+            continue;
         }
-        for &u in &nbrs {
-            heap.push(std::cmp::Reverse((adj[u].len(), u)));
+        order.push(v);
+        // Connect the neighbours into a clique and drop v: each stamp group
+        // is a clique already, so only pairs across groups need an edge.
+        nbrs.sort_unstable_by_key(|&u| clique[u as usize]);
+        let mut start = 0;
+        while start < nbrs.len() {
+            let stamp = clique[nbrs[start] as usize];
+            let end =
+                start + nbrs[start..].iter().take_while(|&&u| clique[u as usize] == stamp).count();
+            for &a in &nbrs[start..end] {
+                let set = &mut adj[a as usize];
+                let before = set.len();
+                set.remove(&(v as u32));
+                for &b in nbrs[..start].iter().chain(&nbrs[end..]) {
+                    set.insert(b);
+                }
+                if set.len() != before {
+                    heap.push(heap_key(set.len(), a as usize));
+                }
+                clique[a as usize] = v;
+            }
+            start = end;
         }
-        adj[v].clear();
     }
     deferred.sort_unstable();
     order.extend(deferred);
     Ok(order)
 }
 
+/// Live neighbours of one vertex in the elimination graph.
+type Neighbours = HashSet<u32, BuildHasherDefault<IndexHasher>>;
+
+/// Min-heap key ordering by (degree, vertex); both fit in 32 bits.
+fn heap_key(degree: usize, v: usize) -> Reverse<u64> {
+    Reverse(((degree as u64) << 32) | v as u64)
+}
+
+/// Multiplicative (Fx-style) hasher for vertex ids: one add and one
+/// multiply per word. The keys are small dense integers chosen by us, so
+/// SipHash's flooding resistance buys nothing and would dominate the cost
+/// of every set operation.
+#[derive(Default)]
+struct IndexHasher(u64);
+
+impl Hasher for IndexHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u32(&mut self, i: u32) {
+        self.write_u64(u64::from(i));
+    }
+
+    fn write_u64(&mut self, i: u64) {
+        self.0 = self.0.wrapping_add(i).wrapping_mul(0xf135_7aea_2e62_a9c5);
+    }
+
+    fn finish(&self) -> u64 {
+        // The table indexes buckets by the low bits; the product's best
+        // mixed bits are the high ones.
+        self.0.rotate_left(26)
+    }
+}
+
 fn dense_threshold(n: usize) -> usize {
     // AMD uses ~10·sqrt(n); anything denser is deferred.
     (10.0 * (n as f64).sqrt()).ceil() as usize + 16
+}
+
+/// Stable counting sort: returns the items of `order` (indices into `keys`,
+/// each key `< buckets`) sorted by key, ties kept in `order`'s sequence.
+fn counting_order(
+    keys: &[usize],
+    order: impl IntoIterator<Item = usize>,
+    buckets: usize,
+) -> Vec<usize> {
+    let mut next = vec![0usize; buckets + 1];
+    for &k in keys {
+        next[k + 1] += 1;
+    }
+    for b in 0..buckets {
+        next[b + 1] += next[b];
+    }
+    let mut out = vec![0usize; keys.len()];
+    for d in order {
+        let k = keys[d];
+        out[next[k]] = d;
+        next[k] += 1;
+    }
+    out
 }
 
 /// A symmetric permutation of an upper-triangular matrix, with the data-slot
@@ -315,32 +421,30 @@ impl SymmetricPermutation {
             )));
         }
         let iperm = inverse_permutation(&perm)?;
-        // Gather permuted triplets (upper) with their source data index.
-        let mut entries: Vec<(usize, usize, usize)> = Vec::with_capacity(upper.nnz());
-        let mut data_idx = 0usize;
+        // Permuted (row ≤ col) coordinates of every stored entry, indexed by
+        // its position in the source data array.
+        let nnz = upper.nnz();
+        let mut prow = Vec::with_capacity(nnz);
+        let mut pcol = Vec::with_capacity(nnz);
         for j in 0..n {
-            let (rows, _) = upper.col(j);
-            for &i in rows {
-                let (mut pi, mut pj) = (iperm[i], iperm[j]);
-                if pi > pj {
-                    std::mem::swap(&mut pi, &mut pj);
-                }
-                entries.push((pj, pi, data_idx));
-                data_idx += 1;
+            for &i in upper.col(j).0 {
+                let (pi, pj) = (iperm[i], iperm[j]);
+                prow.push(pi.min(pj));
+                pcol.push(pi.max(pj));
             }
         }
-        entries.sort_unstable();
+        // Two stable counting passes (by row, then by column) order the
+        // entries by (col, row, source index) in O(n + nnz).
+        let by_row = counting_order(&prow, 0..nnz, n);
+        let src = counting_order(&pcol, by_row, n);
         let mut colptr = vec![0usize; n + 1];
-        let mut rowidx = Vec::with_capacity(entries.len());
-        let mut src = Vec::with_capacity(entries.len());
-        for &(pj, pi, d) in &entries {
-            colptr[pj + 1] += 1;
-            rowidx.push(pi);
-            src.push(d);
+        for &c in &pcol {
+            colptr[c + 1] += 1;
         }
         for j in 0..n {
             colptr[j + 1] += colptr[j];
         }
+        let rowidx: Vec<usize> = src.iter().map(|&d| prow[d]).collect();
         let data: Vec<f64> = src.iter().map(|&d| upper.data()[d]).collect();
         let mat = CscMatrix::from_raw_parts(n, n, colptr, rowidx, data)?;
         Ok(SymmetricPermutation { perm, iperm, mat, src })
@@ -415,7 +519,152 @@ impl SymmetricPermutation {
 #[cfg(test)]
 mod md_tests {
     use super::*;
+    use proptest::prelude::*;
+    use rsqp_problems::{generate, Domain};
     use rsqp_sparse::CsrMatrix;
+
+    /// Upper triangle of the symmetric pattern with a unit diagonal and the
+    /// given off-diagonal edges (self-loops and duplicates are harmless).
+    fn graph(n: usize, edges: &[(usize, usize)]) -> CscMatrix {
+        let mut t: Vec<(usize, usize, f64)> = (0..n).map(|i| (i, i, 4.0)).collect();
+        for &(a, b) in edges {
+            t.push((a.min(b), a.max(b), 1.0));
+        }
+        CsrMatrix::from_triplets(n, n, t).upper_triangle().to_csc()
+    }
+
+    /// The ordering and the permuted matrix both equal their oracles.
+    fn check_against_reference(upper: &CscMatrix) -> Result<(), TestCaseError> {
+        let perm = min_degree_ordering(upper).unwrap();
+        prop_assert_eq!(&perm, &reference::min_degree_ordering(upper));
+        // Also permute by an unrelated (reversed) ordering.
+        let reversed: Vec<usize> = perm.iter().rev().copied().collect();
+        for p in [perm, reversed] {
+            let sym = SymmetricPermutation::new(upper, p.clone()).unwrap();
+            let (mat, src) = reference::symmetric_permutation(upper, &p);
+            prop_assert_eq!(sym.matrix(), &mat);
+            prop_assert_eq!(&sym.src, &src);
+        }
+        Ok(())
+    }
+
+    #[test]
+    fn families_match_the_reference() {
+        // The benchmark's fixed instance seed and a second one; instances of
+        // one (family, size) share their pattern, so both must agree.
+        for seed in [0x5253_5150, 7] {
+            for domain in Domain::all() {
+                for (i, &size) in domain.size_schedule(20)[..=12].iter().enumerate() {
+                    let qp = generate(domain, size, seed + i as u64);
+                    let rho = vec![1.0; qp.a().nrows()];
+                    let kkt = crate::KktMatrix::assemble(qp.p(), qp.a(), 1.0, &rho).unwrap();
+                    if let Err(e) = check_against_reference(kkt.matrix()) {
+                        panic!("{} size {size} seed {seed}: {e}", domain.name());
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn degenerate_sizes_match_the_reference() {
+        for upper in [graph(0, &[]), graph(1, &[]), graph(1, &[(0, 0)]), graph(2, &[(0, 1)])] {
+            check_against_reference(&upper).unwrap();
+        }
+        assert_eq!(min_degree_ordering(&graph(0, &[])).unwrap(), Vec::<usize>::new());
+        assert_eq!(min_degree_ordering(&graph(1, &[])).unwrap(), vec![0]);
+    }
+
+    // Random edges over `n` vertices; endpoints are reduced modulo `n`.
+    fn random_graph(n: usize, edges: Vec<(u64, u64)>) -> CscMatrix {
+        let edges: Vec<(usize, usize)> = edges
+            .iter()
+            .map(|&(a, b)| ((a % n as u64) as usize, (b % n as u64) as usize))
+            .collect();
+        graph(n, &edges)
+    }
+
+    fn clique(n: usize) -> CscMatrix {
+        let edges: Vec<(usize, usize)> =
+            (0..n).flat_map(|a| (a + 1..n).map(move |b| (a, b))).collect();
+        graph(n, &edges)
+    }
+
+    // Graphs whose minimum degree exceeds `dense_threshold`: the deferral
+    // path runs until the degrees fall to the cap, then large cliques form.
+    fn arb_dense_graph() -> impl Strategy<Value = CscMatrix> {
+        prop_oneof![
+            // A nearly complete core with a sparse rim: once the rim is gone
+            // every vertex is above `dense_threshold`, so the deferral path
+            // runs before the rest of the core is eliminated.
+            (200usize..240, 0usize..30, any::<u64>()).prop_map(|(core, rim, seed)| {
+                let s = seed as usize % 1000;
+                let mut edges = Vec::new();
+                for a in 0..core {
+                    for b in a + 1..core {
+                        if !(a * 131 + b * 7919 + s).is_multiple_of(30) {
+                            edges.push((a, b));
+                        }
+                    }
+                }
+                for r in 0..rim {
+                    edges.push((core + r, (s + 13 * r) % (core + rim)));
+                    edges.push((core + r, (s + 29 * r) % core));
+                }
+                graph(core + rim, &edges)
+            }),
+            (160usize..220).prop_map(clique),
+        ]
+    }
+
+    fn arb_graph() -> impl Strategy<Value = CscMatrix> {
+        prop_oneof![
+            // Sparse random graphs, often disconnected.
+            (1usize..120).prop_flat_map(|n| {
+                prop::collection::vec((any::<u64>(), any::<u64>()), 0..3 * n)
+                    .prop_map(move |e| random_graph(n, e))
+            }),
+            // Two random components side by side.
+            (1usize..60, 1usize..60, prop::collection::vec((any::<u64>(), any::<u64>()), 0..150))
+                .prop_map(|(n1, n2, e)| {
+                    let mut edges = Vec::new();
+                    for (k, &(a, b)) in e.iter().enumerate() {
+                        let (base, size) = if k % 2 == 0 { (0, n1) } else { (n1, n2) };
+                        let s = size as u64;
+                        edges.push((base + (a % s) as usize, base + (b % s) as usize));
+                    }
+                    graph(n1 + n2, &edges)
+                }),
+            // Stars around a random hub.
+            (1usize..400, any::<u64>()).prop_map(|(n, h)| {
+                let hub = (h % n as u64) as usize;
+                graph(n, &(0..n).map(|u| (hub, u)).collect::<Vec<_>>())
+            }),
+            // Small cliques.
+            (1usize..40).prop_map(clique),
+            // Diagonal only.
+            (0usize..50).prop_map(|n| graph(n, &[])),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        #[test]
+        fn min_degree_matches_the_reference(upper in arb_graph()) {
+            check_against_reference(&upper)?;
+        }
+    }
+
+    proptest! {
+        // Each case eliminates cliques of ~150 vertices in the reference.
+        #![proptest_config(ProptestConfig::with_cases(6))]
+
+        #[test]
+        fn dense_graphs_match_the_reference(upper in arb_dense_graph()) {
+            check_against_reference(&upper)?;
+        }
+    }
 
     fn upper_of(dense: &[Vec<f64>]) -> CscMatrix {
         CsrMatrix::from_dense(dense).upper_triangle().to_csc()

@@ -7,22 +7,35 @@
 //! much longer count. If per-iteration work allocated anything, the longer
 //! run would count more allocations; equality proves the steady state runs
 //! entirely out of the pre-sized workspaces.
+//!
+//! Allocations are counted per thread: the test harness runs the tests of
+//! this binary concurrently, and a process-wide count would include the
+//! other tests' allocations. Every solver here runs `threads: 1`, so all of
+//! its work happens on the calling test's thread.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::cell::Cell;
 
 use rsqp_solver::{CgTolerance, LinSysKind, QpProblem, Settings, Solver, Status};
 use rsqp_sparse::CsrMatrix;
 
 struct CountingAlloc;
 
-static ALLOCS: AtomicUsize = AtomicUsize::new(0);
+thread_local! {
+    // `const`-initialised and without a destructor, so reading it never
+    // allocates and never fails, even inside the allocator.
+    static ALLOCS: Cell<usize> = const { Cell::new(0) };
+}
+
+fn count_alloc() {
+    let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
+}
 
 // SAFETY: delegates verbatim to the system allocator; the counter is a
 // side effect with no aliasing or layout implications.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_alloc();
         System.alloc(layout)
     }
 
@@ -31,7 +44,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_alloc();
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -39,8 +52,9 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
+/// Allocations made so far by the calling thread.
 fn alloc_count() -> usize {
-    ALLOCS.load(Ordering::Relaxed)
+    ALLOCS.with(Cell::get)
 }
 
 /// A small strictly convex QP with box constraints; easy to iterate on
@@ -101,6 +115,19 @@ fn allocs_for(max_iter: usize) -> usize {
     assert_eq!(result.status, Status::MaxIterationsReached);
     assert_eq!(result.iterations, max_iter);
     during
+}
+
+#[test]
+fn counter_sees_this_threads_allocations() {
+    // The equalities below would hold vacuously if nothing were counted.
+    let before = alloc_count();
+    let v = std::hint::black_box(vec![0u8; 64]);
+    assert_eq!(alloc_count(), before + 1);
+    drop(v);
+    let prob = problem();
+    let before = alloc_count();
+    let _solver = Solver::new(&prob, settings(20)).unwrap();
+    assert!(alloc_count() > before, "solver setup must allocate");
 }
 
 #[test]

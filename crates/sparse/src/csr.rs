@@ -482,6 +482,90 @@ impl CsrMatrix {
     }
 }
 
+impl CsrMatrix {
+    /// Computes `y = self * x` on a reusable [`ThreadPool`] over a
+    /// precomputed [`RowPartition`].
+    ///
+    /// Dispatches to an existing pool with no per-call allocation — the
+    /// shape the PCG inner loop needs. Bit-identical to
+    /// [`CsrMatrix::spmv`] for any pool and any partition, because each
+    /// row's dot product is still accumulated left-to-right by one thread.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SparseError::DimensionMismatch`] on shape mismatch or when
+    /// the partition does not cover this matrix's rows.
+    pub fn spmv_partitioned(
+        &self,
+        x: &[f64],
+        y: &mut [f64],
+        pool: &ThreadPool,
+        partition: &RowPartition,
+    ) -> Result<(), SparseError> {
+        self.check_spmv_dims(x, y)?;
+        if partition.nrows() != self.nrows {
+            return Err(SparseError::DimensionMismatch {
+                op: "spmv partition rows",
+                expected: self.nrows,
+                found: partition.nrows(),
+            });
+        }
+        if pool.is_serial() || partition.num_chunks() <= 1 {
+            return self.spmv(x, y);
+        }
+        pool.par_chunks(y, partition.bounds(), |_, lo, chunk| {
+            for (k, yi) in chunk.iter_mut().enumerate() {
+                let (cols, vals) = self.row(lo + k);
+                let mut acc = 0.0;
+                for (&j, &v) in cols.iter().zip(vals) {
+                    acc += v * x[j];
+                }
+                *yi = acc;
+            }
+        });
+        Ok(())
+    }
+
+    /// Computes `y += alpha * self * x` on a reusable [`ThreadPool`] over a
+    /// precomputed [`RowPartition`]. See [`CsrMatrix::spmv_partitioned`].
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SparseError::DimensionMismatch`] on shape mismatch or when
+    /// the partition does not cover this matrix's rows.
+    pub fn spmv_acc_partitioned(
+        &self,
+        alpha: f64,
+        x: &[f64],
+        y: &mut [f64],
+        pool: &ThreadPool,
+        partition: &RowPartition,
+    ) -> Result<(), SparseError> {
+        self.check_spmv_dims(x, y)?;
+        if partition.nrows() != self.nrows {
+            return Err(SparseError::DimensionMismatch {
+                op: "spmv partition rows",
+                expected: self.nrows,
+                found: partition.nrows(),
+            });
+        }
+        if pool.is_serial() || partition.num_chunks() <= 1 {
+            return self.spmv_acc(alpha, x, y);
+        }
+        pool.par_chunks(y, partition.bounds(), |_, lo, chunk| {
+            for (k, yi) in chunk.iter_mut().enumerate() {
+                let (cols, vals) = self.row(lo + k);
+                let mut acc = 0.0;
+                for (&j, &v) in cols.iter().zip(vals) {
+                    acc += v * x[j];
+                }
+                *yi += alpha * acc;
+            }
+        });
+        Ok(())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -643,197 +727,5 @@ mod tests {
     #[test]
     fn row_nnz_counts() {
         assert_eq!(example().row_nnz_counts(), vec![2, 1]);
-    }
-}
-
-impl CsrMatrix {
-    /// Computes `y = self * x` with `threads` worker threads (row-block
-    /// parallel). Matches [`CsrMatrix::spmv`] bit-for-bit per row since each
-    /// row's dot product is evaluated in the same order.
-    ///
-    /// The multi-threaded CPU path mirrors the paper's baseline, which runs
-    /// MKL's SpMV on 8 threads (§5.1).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SparseError::DimensionMismatch`] on shape mismatch.
-    pub fn spmv_parallel(
-        &self,
-        x: &[f64],
-        y: &mut [f64],
-        threads: usize,
-    ) -> Result<(), SparseError> {
-        self.check_spmv_dims(x, y)?;
-        let threads = threads.max(1).min(self.nrows.max(1));
-        if threads == 1 || self.nrows < 256 {
-            return self.spmv(x, y);
-        }
-        // Split rows into contiguous blocks with roughly equal nnz.
-        let total = self.nnz();
-        let per_block = total.div_ceil(threads).max(1);
-        let mut bounds = vec![0usize];
-        let mut acc = 0usize;
-        for i in 0..self.nrows {
-            acc += self.row_nnz(i);
-            if acc >= per_block * bounds.len() && bounds.len() < threads {
-                bounds.push(i + 1);
-            }
-        }
-        bounds.push(self.nrows);
-        bounds.dedup();
-
-        let mut slices: Vec<&mut [f64]> = Vec::new();
-        let mut rest = y;
-        for w in bounds.windows(2) {
-            let (head, tail) = rest.split_at_mut(w[1] - w[0]);
-            slices.push(head);
-            rest = tail;
-        }
-        std::thread::scope(|scope| {
-            for (block, ys) in slices.into_iter().enumerate() {
-                let lo = bounds[block];
-                scope.spawn(move || {
-                    for (k, yi) in ys.iter_mut().enumerate() {
-                        let i = lo + k;
-                        let (cols, vals) = self.row(i);
-                        let mut acc = 0.0;
-                        for (&j, &v) in cols.iter().zip(vals) {
-                            acc += v * x[j];
-                        }
-                        *yi = acc;
-                    }
-                });
-            }
-        });
-        Ok(())
-    }
-
-    /// Computes `y = self * x` on a reusable [`ThreadPool`] over a
-    /// precomputed [`RowPartition`].
-    ///
-    /// Unlike [`CsrMatrix::spmv_parallel`], which spawns fresh threads per
-    /// call, this dispatches to an existing pool with no per-call
-    /// allocation — the shape the PCG inner loop needs. Bit-identical to
-    /// [`CsrMatrix::spmv`] for any pool and any partition, because each
-    /// row's dot product is still accumulated left-to-right by one thread.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SparseError::DimensionMismatch`] on shape mismatch or when
-    /// the partition does not cover this matrix's rows.
-    pub fn spmv_partitioned(
-        &self,
-        x: &[f64],
-        y: &mut [f64],
-        pool: &ThreadPool,
-        partition: &RowPartition,
-    ) -> Result<(), SparseError> {
-        self.check_spmv_dims(x, y)?;
-        if partition.nrows() != self.nrows {
-            return Err(SparseError::DimensionMismatch {
-                op: "spmv partition rows",
-                expected: self.nrows,
-                found: partition.nrows(),
-            });
-        }
-        if pool.is_serial() || partition.num_chunks() <= 1 {
-            return self.spmv(x, y);
-        }
-        pool.par_chunks(y, partition.bounds(), |_, lo, chunk| {
-            for (k, yi) in chunk.iter_mut().enumerate() {
-                let (cols, vals) = self.row(lo + k);
-                let mut acc = 0.0;
-                for (&j, &v) in cols.iter().zip(vals) {
-                    acc += v * x[j];
-                }
-                *yi = acc;
-            }
-        });
-        Ok(())
-    }
-
-    /// Computes `y += alpha * self * x` on a reusable [`ThreadPool`] over a
-    /// precomputed [`RowPartition`]. See [`CsrMatrix::spmv_partitioned`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SparseError::DimensionMismatch`] on shape mismatch or when
-    /// the partition does not cover this matrix's rows.
-    pub fn spmv_acc_partitioned(
-        &self,
-        alpha: f64,
-        x: &[f64],
-        y: &mut [f64],
-        pool: &ThreadPool,
-        partition: &RowPartition,
-    ) -> Result<(), SparseError> {
-        self.check_spmv_dims(x, y)?;
-        if partition.nrows() != self.nrows {
-            return Err(SparseError::DimensionMismatch {
-                op: "spmv partition rows",
-                expected: self.nrows,
-                found: partition.nrows(),
-            });
-        }
-        if pool.is_serial() || partition.num_chunks() <= 1 {
-            return self.spmv_acc(alpha, x, y);
-        }
-        pool.par_chunks(y, partition.bounds(), |_, lo, chunk| {
-            for (k, yi) in chunk.iter_mut().enumerate() {
-                let (cols, vals) = self.row(lo + k);
-                let mut acc = 0.0;
-                for (&j, &v) in cols.iter().zip(vals) {
-                    acc += v * x[j];
-                }
-                *yi += alpha * acc;
-            }
-        });
-        Ok(())
-    }
-}
-
-#[cfg(test)]
-mod parallel_tests {
-    use super::*;
-
-    fn big_matrix() -> CsrMatrix {
-        let n = 700;
-        let mut t = Vec::new();
-        for i in 0..n {
-            t.push((i, i, 2.0 + (i % 7) as f64));
-            t.push((i, (i * 13 + 1) % n, -0.5));
-            if i % 3 == 0 {
-                t.push((i, (i * 29 + 5) % n, 0.25));
-            }
-        }
-        CsrMatrix::from_triplets(n, n, t)
-    }
-
-    #[test]
-    fn parallel_matches_serial_exactly() {
-        let m = big_matrix();
-        let x: Vec<f64> = (0..m.ncols()).map(|i| ((i * 31 % 17) as f64) - 8.0).collect();
-        let mut y1 = vec![0.0; m.nrows()];
-        let mut y2 = vec![0.0; m.nrows()];
-        m.spmv(&x, &mut y1).unwrap();
-        for threads in [1, 2, 4, 8, 1000] {
-            m.spmv_parallel(&x, &mut y2, threads).unwrap();
-            assert_eq!(y1, y2, "threads = {threads}");
-        }
-    }
-
-    #[test]
-    fn parallel_small_matrix_falls_back() {
-        let m = CsrMatrix::identity(4);
-        let mut y = vec![0.0; 4];
-        m.spmv_parallel(&[1.0, 2.0, 3.0, 4.0], &mut y, 8).unwrap();
-        assert_eq!(y, vec![1.0, 2.0, 3.0, 4.0]);
-    }
-
-    #[test]
-    fn parallel_checks_dimensions() {
-        let m = big_matrix();
-        let mut y = vec![0.0; 3];
-        assert!(m.spmv_parallel(&vec![0.0; m.ncols()], &mut y, 4).is_err());
     }
 }
