@@ -3,10 +3,11 @@
 use std::fmt;
 use std::sync::mpsc::{Receiver, RecvTimeoutError};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use rsqp_solver::{
-    CancelToken, Checkpoint, KktBackend, QpProblem, Settings, SolveResult, SolverError, Status,
+    CancelToken, Checkpoint, KktBackend, QpProblem, Settings, SolveControl, SolveResult,
+    SolverError, Status,
 };
 use rsqp_sparse::CsrMatrix;
 
@@ -60,6 +61,19 @@ impl JobBudget {
     pub fn with_iter_cap(mut self, cap: usize) -> Self {
         self.iter_cap = Some(cap);
         self
+    }
+
+    /// The solve control enforcing this budget, its clock started at
+    /// `started`, and `cancel`.
+    pub(crate) fn control(&self, cancel: &CancelToken, started: Instant) -> SolveControl {
+        let mut control = SolveControl::unbounded().with_cancel(cancel.clone());
+        if let Some(timeout) = self.timeout {
+            control = control.with_deadline(started + timeout);
+        }
+        if let Some(cap) = self.iter_cap {
+            control = control.with_iter_cap(cap);
+        }
+        control
     }
 }
 

@@ -14,12 +14,14 @@
 //!   and iteration cap, enforced *cooperatively* at ADMM iteration
 //!   boundaries via [`rsqp_solver::SolveControl`]; a budgeted job always
 //!   ends with a definite [`rsqp_solver::Status`].
-//! * **Panic isolation** — a panicking backend is caught per job
-//!   ([`JobError::Panicked`]); the worker survives and takes the next job.
-//! * [`RetryPolicy`] — a bounded retry ladder that degrades settings per
-//!   attempt (tighter CG tolerance → direct LDLᵀ fallback → reduced
-//!   iteration cap) and resumes each retry from the last finite
-//!   [`rsqp_solver::Checkpoint`] so completed work is kept.
+//! * **Panic isolation** — a panicking backend is caught per attempt and
+//!   surfaces as [`JobError::Panicked`], never as an unwind: the worker
+//!   survives and takes the next job, the session stays usable.
+//! * [`RetryPolicy`] — one bounded retry ladder for service jobs and
+//!   session steps. It keeps only what the in-solve guard cannot do (drop a
+//!   custom backend for direct LDLᵀ → reduced iteration cap) and resumes
+//!   each retry from the last finite [`rsqp_solver::Checkpoint`] so
+//!   completed work is kept.
 //! * [`ChaosPlan`] — deterministic fault injection (delays, recoverable
 //!   errors, panics) at the backend boundary, composing with the
 //!   cycle-level bit-flip faults of `rsqp-arch` for end-to-end chaos runs
@@ -27,7 +29,9 @@
 //! * [`SolveSession`] — MPC-style parametric re-solves: one persistent,
 //!   warm-started solver fed a stream of [`StepUpdate`]s, with a shared
 //!   pattern-keyed [`CustomizationCache`] so customization and symbolic
-//!   analysis run once per sparsity structure, not once per step.
+//!   analysis run once per sparsity structure, not once per step. A step
+//!   shares the job failure contract: a terminal status or a typed
+//!   [`JobError`].
 //!
 //! # Example
 //!
@@ -58,15 +62,15 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod attempt;
 mod chaos;
 mod job;
-mod retry;
 mod service;
 mod session;
 
+pub use attempt::RetryPolicy;
 pub use chaos::ChaosPlan;
 pub use job::{AttemptSummary, BackendFactory, JobBudget, JobError, JobHandle, JobReport, JobSpec};
-pub use retry::RetryPolicy;
 pub use service::{ServiceConfig, SolveService, SubmitError};
 pub use session::{SessionConfig, SolveSession, StepReport, StepUpdate};
 // Cache types re-exported so sessions can be configured without a direct

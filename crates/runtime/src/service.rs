@@ -1,8 +1,7 @@
-//! The concurrent solve service: bounded queue, worker pool, panic
-//! isolation, and the retry driver.
+//! The concurrent solve service: bounded queue and worker pool feeding
+//! jobs through the attempt ladder.
 
 use std::fmt;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{self, Receiver, SyncSender, TrySendError};
 use std::sync::{Arc, Mutex, PoisonError};
@@ -10,12 +9,10 @@ use std::thread::{self, JoinHandle};
 use std::time::Instant;
 
 use rsqp_obs::{MetricsRegistry, MetricsSnapshot};
-use rsqp_solver::{
-    CancelToken, Checkpoint, SolveControl, SolveResult, Solver, SolverError, Status,
-};
+use rsqp_solver::{CancelToken, Status};
 
-use crate::job::{AttemptSummary, JobError, JobHandle, JobReport, JobSpec};
-use crate::retry::degrade;
+use crate::attempt::{Ladder, LadderMetrics};
+use crate::job::{JobHandle, JobReport, JobSpec};
 use crate::session::{SessionConfig, SolveSession};
 
 /// Sizing of a [`SolveService`].
@@ -104,7 +101,6 @@ struct QueuedJob {
     id: u64,
     spec: JobSpec,
     cancel: CancelToken,
-    deadline: Option<Instant>,
     submitted_at: Instant,
     result_tx: mpsc::Sender<JobReport>,
 }
@@ -119,8 +115,7 @@ struct WorkerMetrics {
     completed: rsqp_obs::Counter,
     failed: rsqp_obs::Counter,
     cancelled: rsqp_obs::Counter,
-    retries: rsqp_obs::Counter,
-    panics: rsqp_obs::Counter,
+    ladder: LadderMetrics,
 }
 
 impl WorkerMetrics {
@@ -133,8 +128,7 @@ impl WorkerMetrics {
             completed: registry.counter("jobs_completed"),
             failed: registry.counter("jobs_failed"),
             cancelled: registry.counter("jobs_cancelled"),
-            retries: registry.counter("retries"),
-            panics: registry.counter("panics"),
+            ladder: LadderMetrics::new(registry),
         }
     }
 
@@ -144,14 +138,6 @@ impl WorkerMetrics {
     /// holds once every accepted job has reported (the invariant
     /// `chaos_smoke` asserts).
     fn record_outcome(&self, report: &JobReport) {
-        self.retries.add(report.attempts.len().saturating_sub(1) as u64);
-        self.panics.add(
-            report
-                .attempts
-                .iter()
-                .filter(|a| a.error.as_deref().is_some_and(|e| e.starts_with("panic:")))
-                .count() as u64,
-        );
         match &report.outcome {
             Ok(result) if result.status == Status::Cancelled => self.cancelled.inc(),
             Ok(_) => self.completed.inc(),
@@ -255,11 +241,9 @@ impl SolveService {
         };
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
         let cancel = CancelToken::new();
-        let now = Instant::now();
-        let deadline = spec.budget.timeout.map(|t| now + t);
         let (result_tx, result_rx) = mpsc::channel();
         let queued =
-            QueuedJob { id, spec, cancel: cancel.clone(), deadline, submitted_at: now, result_tx };
+            QueuedJob { id, spec, cancel: cancel.clone(), submitted_at: Instant::now(), result_tx };
         match tx.try_send(queued) {
             Ok(()) => {
                 self.submitted.inc();
@@ -347,7 +331,14 @@ fn worker_loop(
         metrics.queue_depth.sub(1);
         metrics.in_flight.add(1);
         metrics.queue_wait_us.observe(job.submitted_at.elapsed().as_micros() as u64);
-        let report = run_job(job.id, job.spec, &job.cancel, job.deadline, kernel_threads);
+        let report = run_job(
+            job.id,
+            job.spec,
+            &job.cancel,
+            job.submitted_at,
+            kernel_threads,
+            &metrics.ladder,
+        );
         metrics.exec_time_us.observe(started.elapsed().as_micros() as u64);
         metrics.record_outcome(&report);
         metrics.in_flight.sub(1);
@@ -356,13 +347,14 @@ fn worker_loop(
     }
 }
 
-/// Drives one job through the retry ladder to a definite report.
+/// Drives one job through the attempt ladder to a definite report.
 fn run_job(
     id: u64,
     spec: JobSpec,
     cancel: &CancelToken,
-    deadline: Option<Instant>,
+    submitted_at: Instant,
     kernel_threads: Option<usize>,
+    metrics: &LadderMetrics,
 ) -> JobReport {
     let JobSpec { problem, mut settings, budget, retry, resume_from, mut factory } = spec;
     // Resolve an "auto" kernel-thread request to the service's per-worker
@@ -372,98 +364,16 @@ fn run_job(
             settings.threads = t.max(1);
         }
     }
-    let n = problem.num_vars();
-    let m = problem.num_constraints();
-    let mut attempts: Vec<AttemptSummary> = Vec::new();
-    let mut last_ckpt: Option<Checkpoint> = resume_from;
-    let max_attempts = retry.max_attempts.max(1);
-
-    let mut control = SolveControl::unbounded().with_cancel(cancel.clone());
-    if let Some(d) = deadline {
-        control = control.with_deadline(d);
-    }
-    if let Some(cap) = budget.iter_cap {
-        control = control.with_iter_cap(cap);
-    }
-
-    for attempt in 0..max_attempts {
-        let last = attempt + 1 == max_attempts;
-        if attempt > 0 {
-            degrade(&mut settings, &mut factory, attempt);
-        }
-        let resumed_from = last_ckpt.as_ref().map(|c| c.iterations);
-
-        type AttemptOk = (SolveResult, Checkpoint);
-        let attempt_result: Result<Result<AttemptOk, SolverError>, _> =
-            catch_unwind(AssertUnwindSafe(|| {
-                let mut solver = match factory.as_mut() {
-                    Some(f) => {
-                        Solver::with_backend_shared(Arc::clone(&problem), settings.clone(), f)?
-                    }
-                    None => Solver::new_shared(Arc::clone(&problem), settings.clone())?,
-                };
-                if let Some(ckpt) = &last_ckpt {
-                    solver.restore(ckpt)?;
-                }
-                let result = solver.solve_with_control(&control)?;
-                Ok((result, solver.checkpoint()))
-            }));
-
-        match attempt_result {
-            Ok(Ok((result, ckpt))) => {
-                attempts.push(AttemptSummary {
-                    index: attempt,
-                    status: Some(result.status),
-                    error: None,
-                    resumed_from,
-                });
-                // Only a numerical failure is worth a degraded retry; every
-                // other status (solved, infeasible, budget-driven) is final.
-                if result.status != Status::NumericalError || last {
-                    return JobReport { id, attempts, outcome: Ok(result) };
-                }
-                // Resume the retry from this attempt's endpoint when it is
-                // usable; otherwise keep the previous known-good checkpoint.
-                if ckpt.validate(n, m).is_ok() {
-                    last_ckpt = Some(ckpt);
-                }
-            }
-            Ok(Err(e)) => {
-                attempts.push(AttemptSummary {
-                    index: attempt,
-                    status: None,
-                    error: Some(e.to_string()),
-                    resumed_from,
-                });
-                if !e.is_recoverable() || last {
-                    return JobReport { id, attempts, outcome: Err(JobError::Solver(e)) };
-                }
-            }
-            Err(payload) => {
-                let msg = panic_message(payload.as_ref());
-                attempts.push(AttemptSummary {
-                    index: attempt,
-                    status: None,
-                    error: Some(format!("panic: {msg}")),
-                    resumed_from,
-                });
-                if last {
-                    return JobReport { id, attempts, outcome: Err(JobError::Panicked(msg)) };
-                }
-            }
-        }
-    }
-    // Unreachable: the final loop iteration always returns. Kept as a
-    // definite outcome rather than a panic, in the spirit of this module.
-    JobReport { id, attempts, outcome: Err(JobError::Panicked("retry ladder fell through".into())) }
-}
-
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
+    let ladder = Ladder {
+        problem: &problem,
+        settings: &mut settings,
+        factory: &mut factory,
+        artifacts: None,
+        retry,
+        warm_start: true,
+        metrics,
+    };
+    let (attempts, outcome) =
+        ladder.run(&mut None, resume_from, &budget.control(cancel, submitted_at));
+    JobReport { id, attempts, outcome }
 }

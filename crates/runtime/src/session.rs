@@ -13,10 +13,17 @@
 //!   per step;
 //! * every step composes with the existing runtime machinery: a per-step
 //!   [`JobBudget`], cooperative cancellation via the session's
-//!   [`CancelToken`], the bounded [`RetryPolicy`] degradation ladder
-//!   (resuming from a checkpoint of the pre-failure iterates), and the
-//!   [`MetricsRegistry`] (`session_steps`, `cache_hits`, `cache_misses`
-//!   counters plus a `session_step_us` latency histogram).
+//!   [`CancelToken`], the same attempt ladder a service job runs (panic
+//!   isolation plus the bounded [`RetryPolicy`] degradations, resuming
+//!   from a checkpoint of the pre-failure iterates), and the
+//!   [`MetricsRegistry`] (`session_steps`, `cache_hits`, `cache_misses`,
+//!   `retries`, `panics` counters plus a `session_step_us` latency
+//!   histogram).
+//!
+//! A step has the service's failure contract: it ends in a terminal status
+//! or a typed [`JobError`] — a panicking backend never unwinds into the
+//! caller. After a failed step the session rebuilds its solver on the next
+//! one.
 //!
 //! Sessions run on the caller's thread — an MPC loop is latency-bound and
 //! strictly sequential, so queueing each step behind the worker pool would
@@ -29,14 +36,11 @@ use std::time::Instant;
 
 use rsqp_core::{CacheLookup, CustomizationCache, PatternArtifacts};
 use rsqp_obs::{Counter, Histogram, MetricsRegistry};
-use rsqp_solver::{
-    CancelToken, Checkpoint, DirectLdltBackend, KktBackend, LinSysKind, QpProblem, Settings,
-    SolveControl, SolveResult, Solver, SolverError, Status,
-};
+use rsqp_solver::{CancelToken, QpProblem, Settings, SolveResult, Solver, SolverError};
 use rsqp_sparse::CsrMatrix;
 
-use crate::job::{AttemptSummary, BackendFactory, JobBudget};
-use crate::retry::degrade;
+use crate::attempt::{Ladder, LadderMetrics};
+use crate::job::{AttemptSummary, BackendFactory, JobBudget, JobError};
 use crate::RetryPolicy;
 
 /// One parametric update applied before a session step's solve.
@@ -72,9 +76,10 @@ pub struct SessionConfig {
     /// of each [`SolveSession::step`] call, the iteration cap applies per
     /// solve attempt.
     pub budget: JobBudget,
-    /// Retry ladder for steps that end in a numerical error. Degradations a
-    /// step needed are **kept** for subsequent steps — a session that had
-    /// to fall back stays on the safe configuration.
+    /// Retry ladder for steps that end in a numerical error, a recoverable
+    /// solver error, or a panic. Degradations a step needed are **kept**
+    /// for subsequent steps — a session that had to fall back stays on the
+    /// safe configuration.
     pub retry: RetryPolicy,
     /// Warm-start each step from the previous solution (the default).
     /// `false` cold-starts every step (useful for baselines).
@@ -154,6 +159,7 @@ struct SessionMetrics {
     cache_hits: Counter,
     cache_misses: Counter,
     step_us: Histogram,
+    ladder: LadderMetrics,
 }
 
 impl SessionMetrics {
@@ -163,6 +169,7 @@ impl SessionMetrics {
             cache_hits: registry.counter("cache_hits"),
             cache_misses: registry.counter("cache_misses"),
             step_us: registry.histogram("session_step_us"),
+            ladder: LadderMetrics::new(registry),
         }
     }
 }
@@ -276,19 +283,21 @@ impl SolveSession {
     ///
     /// # Errors
     ///
-    /// Returns an error for an invalid update, or when the retry ladder is
-    /// exhausted by unrecoverable solver errors. Budget expiry and
-    /// cancellation are *statuses* on the returned result, not errors.
-    pub fn step(&mut self, updates: Vec<StepUpdate>) -> Result<StepReport, SolverError> {
+    /// [`JobError::Solver`] for an invalid update, or when the retry ladder
+    /// ends in a solver error (including building the solver);
+    /// [`JobError::Panicked`] when its last attempt panicked. Budget expiry
+    /// and cancellation are *statuses* on the returned result, not errors.
+    pub fn step(&mut self, updates: Vec<StepUpdate>) -> Result<StepReport, JobError> {
         let started = Instant::now();
-        self.apply_updates(updates)?;
+        self.apply_updates(updates).map_err(JobError::Solver)?;
 
         // Consult the cache every step: the first sight of a pattern pays
         // the customization + symbolic analysis, every later step is a
         // ledger-counted hit. Value updates never change the key.
         let mut cache_hit = false;
         if let Some(cache) = self.cache.clone() {
-            let CacheLookup { artifacts, hit } = cache.get_or_customize(&self.problem)?;
+            let CacheLookup { artifacts, hit } =
+                cache.get_or_customize(&self.problem).map_err(JobError::Solver)?;
             if hit {
                 self.metrics.cache_hits.inc();
             } else {
@@ -298,90 +307,25 @@ impl SolveSession {
             self.artifacts = Some(artifacts);
         }
 
-        if self.solver.is_none() {
-            self.solver = Some(construct_solver(
-                &self.problem,
-                &self.settings,
-                &mut self.factory,
-                self.artifacts.as_deref(),
-            )?);
-        }
-
-        let mut control = SolveControl::unbounded().with_cancel(self.cancel.clone());
-        if let Some(timeout) = self.budget.timeout {
-            control = control.with_deadline(started + timeout);
-        }
-        if let Some(cap) = self.budget.iter_cap {
-            control = control.with_iter_cap(cap);
-        }
-
-        let n = self.problem.num_vars();
-        let m = self.problem.num_constraints();
-        let max_attempts = self.retry.max_attempts.max(1);
-        let mut attempts: Vec<AttemptSummary> = Vec::new();
-        let mut last_ckpt: Option<Checkpoint> = None;
-
-        for attempt in 0..max_attempts {
-            let last = attempt + 1 == max_attempts;
-            if attempt > 0 {
-                // Degrade *the session's* settings/factory: a rung a step
-                // needed is kept for the rest of the session, and the
-                // rebuilt (degraded) solver becomes the persistent one.
-                degrade(&mut self.settings, &mut self.factory, attempt);
-                let mut rebuilt = construct_solver(
-                    &self.problem,
-                    &self.settings,
-                    &mut self.factory,
-                    self.artifacts.as_deref(),
-                )?;
-                if let Some(ckpt) = &last_ckpt {
-                    if ckpt.validate(n, m).is_ok() {
-                        rebuilt.restore(ckpt)?;
-                    }
-                }
-                self.solver = Some(rebuilt);
-            }
-            let solver = self.solver.as_mut().expect("solver built above");
-            if !self.warm_start {
-                solver.cold_start();
-            }
-            let resumed_from = last_ckpt.as_ref().map(|c| c.iterations);
-            match solver.solve_with_control(&control) {
-                Ok(result) => {
-                    attempts.push(AttemptSummary {
-                        index: attempt,
-                        status: Some(result.status),
-                        error: None,
-                        resumed_from,
-                    });
-                    if result.status != Status::NumericalError || last {
-                        self.steps += 1;
-                        self.metrics.steps.inc();
-                        self.metrics.step_us.observe(started.elapsed().as_micros() as u64);
-                        return Ok(StepReport { step: self.steps, result, attempts, cache_hit });
-                    }
-                    let ckpt = solver.checkpoint();
-                    if ckpt.validate(n, m).is_ok() {
-                        last_ckpt = Some(ckpt);
-                    }
-                }
-                Err(e) => {
-                    attempts.push(AttemptSummary {
-                        index: attempt,
-                        status: None,
-                        error: Some(e.to_string()),
-                        resumed_from,
-                    });
-                    if !e.is_recoverable() || last {
-                        // The failed solver may be poisoned; drop it so the
-                        // next step rebuilds from the shared problem.
-                        self.solver = None;
-                        return Err(e);
-                    }
-                }
-            }
-        }
-        unreachable!("the final attempt always returns");
+        // The ladder degrades *the session's* settings and factory and
+        // leaves its (possibly rebuilt) solver in the session's slot, so a
+        // rung a step needed is kept for the rest of the session.
+        let ladder = Ladder {
+            problem: &self.problem,
+            settings: &mut self.settings,
+            factory: &mut self.factory,
+            artifacts: self.artifacts.as_deref(),
+            retry: self.retry,
+            warm_start: self.warm_start,
+            metrics: &self.metrics.ladder,
+        };
+        let control = self.budget.control(&self.cancel, started);
+        let (attempts, outcome) = ladder.run(&mut self.solver, None, &control);
+        let result = outcome?;
+        self.steps += 1;
+        self.metrics.steps.inc();
+        self.metrics.step_us.observe(started.elapsed().as_micros() as u64);
+        Ok(StepReport { step: self.steps, result, attempts, cache_hit })
     }
 
     /// Routes updates through the persistent solver when it exists (so
@@ -427,38 +371,4 @@ impl SolveSession {
         }
         Ok(())
     }
-}
-
-/// Builds a solver for the session, replaying the cached symbolic LDLᵀ
-/// ordering when one is available and applicable.
-fn construct_solver(
-    problem: &Arc<QpProblem>,
-    settings: &Settings,
-    factory: &mut Option<BackendFactory>,
-    artifacts: Option<&PatternArtifacts>,
-) -> Result<Solver, SolverError> {
-    if let Some(f) = factory.as_mut() {
-        return Solver::with_backend_shared(Arc::clone(problem), settings.clone(), f);
-    }
-    if settings.linsys == LinSysKind::DirectLdlt {
-        let cached_perm = artifacts
-            .filter(|a| a.params.ordering == settings.ordering)
-            .and_then(|a| a.kkt_perm.clone());
-        if let Some(perm) = cached_perm {
-            return Solver::with_backend_shared(
-                Arc::clone(problem),
-                settings.clone(),
-                &mut |p, a, sigma, rho, _s| {
-                    Ok(Box::new(DirectLdltBackend::with_permutation(
-                        p,
-                        a,
-                        sigma,
-                        rho,
-                        perm.clone(),
-                    )?) as Box<dyn KktBackend>)
-                },
-            );
-        }
-    }
-    Solver::new_shared(Arc::clone(problem), settings.clone())
 }

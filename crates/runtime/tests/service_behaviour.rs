@@ -157,16 +157,16 @@ fn panicking_backend_is_isolated_and_ladder_recovers() {
     let service =
         SolveService::new(ServiceConfig { workers: 2, queue_capacity: 8, ..Default::default() });
     // Every chaos-wrapped KKT solve panics; the ladder's direct-fallback
-    // rung (retry 2) drops the factory and the job still solves.
+    // rung (retry 1) drops the factory and the job still solves.
     let spec = JobSpec::new(box_qp(4)).with_backend_factory(Box::new(|p, a, sigma, rho, s| {
         let inner = Box::new(CpuPcgBackend::new(p, a, sigma, rho, 1e-7, s.cg_max_iter));
         Ok(ChaosPlan::new(11).with_panics(1.0).wrap(inner))
     }));
     let report = service.submit(spec).expect("queue has room").wait();
     assert_eq!(report.status(), Some(Status::Solved), "{:?}", report.outcome);
-    assert_eq!(report.attempts_used(), 3, "panic, panic (tightened), then direct fallback");
+    assert_eq!(report.attempts_used(), 2, "panic, then direct fallback");
     assert!(report.attempts[0].error.as_deref().is_some_and(|e| e.contains("panic")));
-    assert!(report.attempts[2].status.is_some_and(Status::is_solved));
+    assert!(report.attempts[1].status.is_some_and(Status::is_solved));
 }
 
 #[test]

@@ -1,18 +1,45 @@
 //! Behavioural tests for [`SolveSession`]: the 40-step MPC ledger the
 //! customization cache exists for (one miss, then hits forever), equivalence
 //! of warm session steps against cold solves, budget/cancellation statuses,
-//! and recovery from rejected updates.
+//! recovery from rejected updates, and the attempt ladder a step shares
+//! with service jobs (panics and backend errors become typed outcomes).
 
-use std::sync::Arc;
+use std::sync::{Arc, Once};
 use std::time::Duration;
 
 use rsqp_problems::control;
 use rsqp_runtime::{
-    CustomizationCache, JobBudget, ServiceConfig, SessionConfig, SolveService, SolveSession,
-    StepUpdate,
+    BackendFactory, ChaosPlan, CustomizationCache, JobBudget, JobError, JobSpec, RetryPolicy,
+    ServiceConfig, SessionConfig, SolveService, SolveSession, StepUpdate,
 };
-use rsqp_solver::{QpProblem, Settings, Solver, Status};
+use rsqp_solver::{CpuPcgBackend, QpProblem, Settings, Solver, SolverError, Status};
 use rsqp_sparse::CsrMatrix;
+
+/// Silences the default "thread panicked" spew for *injected* panics, which
+/// are expected by design in these tests; everything else still prints.
+fn quiet_injected_panics() {
+    static ONCE: Once = Once::new();
+    ONCE.call_once(|| {
+        std::panic::set_hook(Box::new(|info| {
+            let msg = info
+                .payload()
+                .downcast_ref::<String>()
+                .map(String::as_str)
+                .or_else(|| info.payload().downcast_ref::<&str>().copied());
+            if !msg.is_some_and(|m| m.contains("chaos:")) {
+                eprintln!("{info}");
+            }
+        }));
+    });
+}
+
+/// A CPU-PCG backend whose every KKT solve panics.
+fn panicking_factory() -> BackendFactory {
+    Box::new(|p, a, sigma, rho, s| {
+        let inner = Box::new(CpuPcgBackend::new(p, a, sigma, rho, 1e-7, s.cg_max_iter));
+        Ok(ChaosPlan::new(11).with_panics(1.0).wrap(inner))
+    })
+}
 
 fn tight() -> Settings {
     Settings { eps_abs: 1e-8, eps_rel: 1e-8, ..Settings::default() }
@@ -259,4 +286,62 @@ fn cold_step_sessions_disable_warm_starting() {
     let mut fresh = Solver::new(&reference, tight()).unwrap();
     let fresh_result = fresh.solve().unwrap();
     assert_eq!(cold_step.result.iterations, fresh_result.iterations);
+}
+
+#[test]
+fn panicking_step_returns_a_typed_error() {
+    quiet_injected_panics();
+    let config = SessionConfig::default().with_retry(RetryPolicy::no_retries());
+    let mut session = SolveSession::new(control::generate(3, 1), config)
+        .with_backend_factory(panicking_factory());
+    // The failed step clears the solver; the second step rebuilds it with
+    // the same factory and must return again rather than unwind.
+    for panics in 1..=2u64 {
+        match session.step(Vec::new()) {
+            Err(JobError::Panicked(msg)) => assert!(msg.contains("chaos"), "{msg}"),
+            other => panic!("expected Panicked, got {other:?}"),
+        }
+        assert_eq!(session.steps_taken(), 0, "a failed step is not a step");
+        let snap = session.metrics().snapshot();
+        assert_eq!(snap.counter("panics"), panics);
+        assert_eq!(snap.counter("retries"), 0);
+    }
+}
+
+#[test]
+fn panicking_step_recovers_on_direct_ldlt() {
+    quiet_injected_panics();
+    let mut session = SolveSession::new(control::generate(3, 1), SessionConfig::default())
+        .with_backend_factory(panicking_factory());
+    let report = session.step(Vec::new()).expect("the direct-LDLT rung solves");
+    assert_eq!(report.result.status, Status::Solved);
+    assert_eq!(report.attempts.len(), 2, "panic, then direct fallback");
+    assert!(report.attempts[0].error.as_deref().is_some_and(|e| e.starts_with("panic:")));
+    let snap = session.metrics().snapshot();
+    assert_eq!(snap.counter("panics"), 1);
+    assert_eq!(snap.counter("retries"), 1);
+}
+
+#[test]
+fn factory_errors_ride_the_same_ladder_for_jobs_and_steps() {
+    fn failing_factory() -> BackendFactory {
+        Box::new(|_, _, _, _, _| Err(SolverError::Backend("device unavailable".into())))
+    }
+    let service = SolveService::new(ServiceConfig { workers: 1, ..Default::default() });
+    let job = service
+        .submit(JobSpec::new(control::generate(3, 1)).with_backend_factory(failing_factory()))
+        .expect("queue has room")
+        .wait();
+    let mut session = SolveSession::new(control::generate(3, 1), SessionConfig::default())
+        .with_backend_factory(failing_factory());
+    let step = session.step(Vec::new()).expect("the direct-LDLT rung solves");
+
+    for (status, attempts) in
+        [(job.status(), &job.attempts), (Some(step.result.status), &step.attempts)]
+    {
+        assert_eq!(status, Some(Status::Solved));
+        assert_eq!(attempts.len(), 2, "backend error, then direct fallback");
+        let error = attempts[0].error.as_deref().unwrap_or_default();
+        assert!(error.contains("backend error: device unavailable"), "{error}");
+    }
 }
