@@ -13,17 +13,6 @@ pub enum CvbPolicy {
     FullDuplication,
 }
 
-/// Which pack scheduler maps row strings onto the structure set.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SchedulePolicy {
-    /// The paper's greedy string-replacement scheduler (§4.2).
-    #[default]
-    Greedy,
-    /// The exact dynamic-programming scheduler (our ablation; never more
-    /// cycles than greedy).
-    DpOptimal,
-}
-
 /// Per-instruction-class fixed latencies, in cycles.
 ///
 /// These model pipeline fill, instruction fetch/decode, and result
@@ -133,7 +122,6 @@ pub struct ArchConfig {
     set: StructureSet,
     cost: CostModel,
     cvb: CvbPolicy,
-    scheduler: SchedulePolicy,
     single_precision: bool,
     fault: Option<FaultConfig>,
 }
@@ -146,7 +134,6 @@ impl ArchConfig {
             set,
             cost: CostModel::default(),
             cvb: CvbPolicy::FirstFit,
-            scheduler: SchedulePolicy::Greedy,
             single_precision: false,
             fault: None,
         }
@@ -167,17 +154,6 @@ impl ArchConfig {
     pub fn with_cvb_policy(mut self, cvb: CvbPolicy) -> Self {
         self.cvb = cvb;
         self
-    }
-
-    /// Overrides the pack scheduler (greedy is the paper's method).
-    pub fn with_scheduler(mut self, scheduler: SchedulePolicy) -> Self {
-        self.scheduler = scheduler;
-        self
-    }
-
-    /// The pack-scheduler policy.
-    pub fn scheduler(&self) -> SchedulePolicy {
-        self.scheduler
     }
 
     /// Emulates the FPGA's single-precision arithmetic: every functional

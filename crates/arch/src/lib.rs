@@ -41,7 +41,7 @@ mod program;
 mod resources;
 pub mod rom;
 
-pub use config::{ArchConfig, CostModel, CvbPolicy, FaultConfig, SchedulePolicy};
+pub use config::{ArchConfig, CostModel, CvbPolicy, FaultConfig};
 pub use error::ArchError;
 pub use isa::{Instr, MatrixId, SReg, ScalarOp, VecId};
 pub use machine::{CycleBreakdown, Machine, RunStats};

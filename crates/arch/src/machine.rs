@@ -1,10 +1,10 @@
 //! The cycle-level machine.
 
 use rsqp_cvb::{first_fit, AccessMatrix, CvbLayout};
-use rsqp_encode::{dp_schedule, greedy_schedule, Schedule, SparsityString};
+use rsqp_encode::{greedy_schedule, Schedule, SparsityString};
 use rsqp_sparse::CsrMatrix;
 
-use crate::config::{CvbPolicy, SchedulePolicy};
+use crate::config::CvbPolicy;
 use crate::program::class_of;
 use crate::{ArchConfig, ArchError, Instr, MatrixId, Program, SReg, ScalarOp, VecId};
 
@@ -176,10 +176,7 @@ impl Machine {
     pub fn add_matrix(&mut self, m: &CsrMatrix) -> MatrixId {
         let c = self.config.c();
         let string = SparsityString::encode(m, c);
-        let schedule = match self.config.scheduler() {
-            SchedulePolicy::Greedy => greedy_schedule(&string, self.config.set()),
-            SchedulePolicy::DpOptimal => dp_schedule(&string, self.config.set()),
-        };
+        let schedule = greedy_schedule(&string, self.config.set());
         let access = AccessMatrix::from_schedule(&schedule, &string, m, self.config.set());
         let layout = match self.config.cvb_policy() {
             CvbPolicy::FirstFit => first_fit(&access),

@@ -21,11 +21,10 @@
 use std::time::Duration;
 
 use rsqp_arch::ArchConfig;
-use rsqp_core::perf::fpga::FpgaPerfModel;
 use rsqp_core::perf::gpu::GpuPerfModel;
-use rsqp_core::{customize, CustomizationResult, FpgaPcgBackend};
+use rsqp_core::{customize, CustomizationResult, FpgaSolver};
 use rsqp_problems::BenchmarkProblem;
-use rsqp_solver::{CgTolerance, LinSysKind, QpProblem, Settings, SolveResult, Solver};
+use rsqp_solver::{LinSysKind, QpProblem, Settings, SolveResult, Solver};
 
 /// All measurements for one benchmark problem.
 #[derive(Debug, Clone)]
@@ -130,31 +129,10 @@ pub fn solve_cpu(problem: &QpProblem) -> SolveResult {
 /// Runs a simulated-FPGA solve under `config`, returning the solver result
 /// and the modeled end-to-end time.
 pub fn solve_fpga(problem: &QpProblem, config: &ArchConfig) -> (SolveResult, Duration) {
-    let cfg = config.clone();
-    let mut handle = None;
-    let mut outer = 0u64;
-    let mut solver =
-        Solver::with_backend(problem, solver_settings(), &mut |p, a, sigma, rho, s| {
-            let eps = match s.cg_tolerance {
-                CgTolerance::Fixed(e) => e,
-                CgTolerance::Adaptive { start, .. } => start,
-            };
-            let (b, h) = FpgaPcgBackend::new(p, a, sigma, rho, cfg.clone(), eps, s.cg_max_iter);
-            outer = b.outer_cycles_per_iteration();
-            handle = Some(h);
-            Ok(Box::new(b))
-        })
-        .expect("benchmark problems are valid");
-    let result = solver.solve().expect("FPGA backend does not fail");
-    let stats = handle.expect("factory ran").borrow().stats();
-    let model = FpgaPerfModel::from_config(config);
-    let time = model.solve_time(
-        stats,
-        result.iterations,
-        outer,
-        problem.num_vars(),
-        problem.num_constraints(),
-    );
+    let mut fpga =
+        FpgaSolver::new(problem, solver_settings(), config).expect("benchmark problems are valid");
+    let result = fpga.solver.solve().expect("FPGA backend does not fail");
+    let time = fpga.device_time(fpga.stats(), result.iterations);
     (result, time)
 }
 

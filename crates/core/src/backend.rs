@@ -1,19 +1,101 @@
-//! The simulated-FPGA KKT backend.
+//! The simulated-FPGA KKT backend and the solver built on it.
 //!
-//! Implements [`rsqp_solver::KktBackend`] by executing the PCG kernel of
-//! Algorithm 2 on the cycle-level machine of `rsqp-arch`. The numerical
-//! results flowing back into the ADMM loop are the machine's — so the
-//! solver genuinely converges on simulated-accelerator arithmetic — and
-//! every solve advances the machine's cycle counters, which the performance
-//! model later converts to seconds via the f_max estimate.
+//! [`FpgaPcgBackend`] implements [`rsqp_solver::KktBackend`] by executing
+//! the PCG kernel of Algorithm 2 on the cycle-level machine of `rsqp-arch`.
+//! The numerical results flowing back into the ADMM loop are the machine's —
+//! so the solver genuinely converges on simulated-accelerator arithmetic —
+//! and every solve advances the machine's cycle counters, which the
+//! performance model converts to seconds via the f_max estimate.
+//! [`FpgaSolver`] wires the two together: it is the one way to solve on a
+//! (customized) architecture and price the solve in device time.
 
 use std::cell::RefCell;
 use std::rc::Rc;
+use std::time::Duration;
 
 use rsqp_arch::kernels::{admm_outer_cycles, build_pcg, PcgKernel};
 use rsqp_arch::{ArchConfig, Machine, MatrixId, RunStats};
-use rsqp_solver::{BackendStats, KktBackend, SolverError};
+use rsqp_solver::{BackendStats, KktBackend, QpProblem, Settings, Solver, SolverError};
 use rsqp_sparse::CsrMatrix;
+
+use crate::perf::fpga::FpgaPerfModel;
+
+/// A [`Solver`] whose KKT systems run on the simulated accelerator — the
+/// paper's flow of Fig. 6 after customization: solve on the architecture
+/// `config` describes, then convert the machine's cycles to device time.
+pub struct FpgaSolver {
+    /// The ADMM solver, driving an [`FpgaPcgBackend`] (until the guard's
+    /// recovery ladder falls back to direct LDLᵀ).
+    pub solver: Solver,
+    machine: Rc<RefCell<Machine>>,
+    model: FpgaPerfModel,
+    outer_cycles_per_iter: u64,
+}
+
+impl std::fmt::Debug for FpgaSolver {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("FpgaSolver")
+            .field("solver", &self.solver)
+            .field("fmax_hz", &self.model.fmax_hz)
+            .finish_non_exhaustive()
+    }
+}
+
+impl FpgaSolver {
+    /// Sets up `problem` on a machine configured by `config`, with the
+    /// inner PCG starting from [`rsqp_solver::CgTolerance::initial`].
+    ///
+    /// # Errors
+    ///
+    /// Returns an error for invalid settings.
+    pub fn new(
+        problem: &QpProblem,
+        settings: Settings,
+        config: &ArchConfig,
+    ) -> Result<Self, SolverError> {
+        let mut built = None;
+        let solver = Solver::with_backend(problem, settings, &mut |p, a, sigma, rho, s| {
+            let (backend, machine) = FpgaPcgBackend::new(
+                p,
+                a,
+                sigma,
+                rho,
+                config.clone(),
+                s.cg_tolerance.initial(),
+                s.cg_max_iter,
+            );
+            built = Some((machine, backend.outer_cycles_per_iteration()));
+            Ok(Box::new(backend))
+        })?;
+        let (machine, outer_cycles_per_iter) = built.expect("the factory ran");
+        Ok(FpgaSolver {
+            solver,
+            machine,
+            model: FpgaPerfModel::from_config(config),
+            outer_cycles_per_iter,
+        })
+    }
+
+    /// Cumulative machine statistics over every solve so far.
+    pub fn stats(&self) -> RunStats {
+        self.machine.borrow().stats()
+    }
+
+    /// Modelled end-to-end device time of a solve that ran `iterations`
+    /// ADMM iterations and took `stats` on the machine
+    /// ([`FpgaPerfModel::solve_time`] with this design's f_max and outer
+    /// cycles).
+    pub fn device_time(&self, stats: RunStats, iterations: usize) -> Duration {
+        let problem = self.solver.problem();
+        self.model.solve_time(
+            stats,
+            iterations,
+            self.outer_cycles_per_iter,
+            problem.num_vars(),
+            problem.num_constraints(),
+        )
+    }
+}
 
 /// A [`KktBackend`] backed by the simulated RSQP accelerator.
 pub struct FpgaPcgBackend {
@@ -79,30 +161,11 @@ impl FpgaPcgBackend {
         (backend, handle)
     }
 
-    /// Same as [`FpgaPcgBackend::new`] with the baseline architecture (used
-    /// for "no customization" comparisons at a given width).
-    pub fn baseline(
-        p: &CsrMatrix,
-        a: &CsrMatrix,
-        sigma: f64,
-        rho: &[f64],
-        c: usize,
-        cg_eps: f64,
-        cg_max_iter: usize,
-    ) -> (Self, Rc<RefCell<Machine>>) {
-        Self::new(p, a, sigma, rho, ArchConfig::baseline(c), cg_eps, cg_max_iter)
-    }
-
     /// Analytic cycles per ADMM iteration spent in the outer vector updates
     /// (Algorithm 1, lines 4–7) — added to the measured PCG cycles by the
     /// performance model.
     pub fn outer_cycles_per_iteration(&self) -> u64 {
         self.outer_cycles_per_iter
-    }
-
-    /// Cumulative machine statistics.
-    pub fn machine_stats(&self) -> RunStats {
-        self.machine.borrow().stats()
     }
 
     fn refresh_device_constants(&mut self) {
@@ -201,5 +264,70 @@ impl KktBackend for FpgaPcgBackend {
 
     fn stats(&self) -> BackendStats {
         self.stats
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::customize;
+    use rsqp_problems::{generate, Domain};
+
+    /// The hand-wired construction `FpgaSolver` replaces (and the one the
+    /// benchmark harness keeps): a factory closure that smuggles the
+    /// machine handle and the outer-cycle count out of the solver.
+    fn hand_wired(
+        problem: &QpProblem,
+        settings: &Settings,
+        config: &ArchConfig,
+    ) -> (rsqp_solver::SolveResult, RunStats, Duration) {
+        let mut handle = None;
+        let mut outer = 0u64;
+        let mut solver =
+            Solver::with_backend(problem, settings.clone(), &mut |p, a, sigma, rho, s| {
+                let (b, h) = FpgaPcgBackend::new(
+                    p,
+                    a,
+                    sigma,
+                    rho,
+                    config.clone(),
+                    s.cg_tolerance.initial(),
+                    s.cg_max_iter,
+                );
+                outer = b.outer_cycles_per_iteration();
+                handle = Some(h);
+                Ok(Box::new(b))
+            })
+            .unwrap();
+        let result = solver.solve().unwrap();
+        let stats = handle.expect("the factory ran").borrow().stats();
+        let time = FpgaPerfModel::from_config(config).solve_time(
+            stats,
+            result.iterations,
+            outer,
+            problem.num_vars(),
+            problem.num_constraints(),
+        );
+        (result, stats, time)
+    }
+
+    #[test]
+    fn fpga_solver_matches_the_hand_wired_factory() {
+        let settings = Settings::default();
+        for domain in [Domain::Control, Domain::Svm] {
+            let qp = generate(domain, 2, 3);
+            let custom = customize(&qp, 16, 4);
+            for config in [custom.config.clone(), ArchConfig::baseline(16)] {
+                let (want, want_stats, want_time) = hand_wired(&qp, &settings, &config);
+                let mut fpga = FpgaSolver::new(&qp, settings.clone(), &config).unwrap();
+                let got = fpga.solver.solve().unwrap();
+                assert_eq!(got.status, want.status, "{domain}");
+                assert_eq!(got.iterations, want.iterations, "{domain}");
+                assert_eq!(got.x, want.x, "{domain}: x must be bit-identical");
+                assert_eq!(got.y, want.y, "{domain}: y must be bit-identical");
+                assert_eq!(fpga.stats(), want_stats, "{domain}: machine statistics");
+                assert_eq!(fpga.device_time(fpga.stats(), got.iterations), want_time, "{domain}");
+            }
+        }
     }
 }

@@ -57,11 +57,11 @@ pub struct PatternArtifacts {
     /// summary, `ArchConfig`, η scores, resource estimates.
     pub customization: CustomizationResult,
     /// Fill-reducing permutation of the KKT pattern under
-    /// [`CacheParams::ordering`] (`None` for
+    /// [`CacheParams::ordering`] (the identity for
     /// [`KktOrdering::Natural`]). Replay through
     /// [`rsqp_solver::DirectLdltBackend::with_permutation`] to skip the
     /// symbolic analysis on every rebuild.
-    pub kkt_perm: Option<Vec<usize>>,
+    pub kkt_perm: Vec<usize>,
 }
 
 /// Outcome of one cache consultation.
@@ -265,16 +265,16 @@ mod tests {
         let art = &lookup.artifacts;
         assert_eq!(art.key, rsqp_sparse::PatternKey::new(qp.p(), qp.a()));
         assert!(art.customization.eta_custom >= art.customization.eta_baseline);
-        let perm = art.kkt_perm.as_ref().expect("min-degree produces a permutation");
-        assert_eq!(perm.len(), qp.num_vars() + qp.num_constraints());
+        assert_eq!(art.kkt_perm.len(), qp.num_vars() + qp.num_constraints());
         assert!(cache.peek(&art.key).is_some());
     }
 
     #[test]
-    fn natural_ordering_caches_no_permutation() {
+    fn natural_ordering_caches_the_identity() {
         let params = CacheParams { ordering: KktOrdering::Natural, ..Default::default() };
         let cache = CustomizationCache::with_params(2, params);
         let qp = generate(Domain::Control, 3, 1);
-        assert!(cache.get_or_customize(&qp).unwrap().artifacts.kkt_perm.is_none());
+        let identity: Vec<usize> = (0..qp.num_vars() + qp.num_constraints()).collect();
+        assert_eq!(cache.get_or_customize(&qp).unwrap().artifacts.kkt_perm, identity);
     }
 }

@@ -15,6 +15,8 @@
 //! * [`FpgaPcgBackend`] — a [`rsqp_solver::KktBackend`] that runs Algorithm
 //!   2 on the cycle-level machine of `rsqp-arch`, so the OSQP outer loop
 //!   converges on *simulated-FPGA arithmetic* while cycles are counted;
+//!   [`FpgaSolver`] builds a solver on it and prices its solves in device
+//!   time;
 //! * [`perf`] — end-to-end time, power, and efficiency models for the three
 //!   platforms of Table 2 (measured CPU, modeled GPU, simulated FPGA);
 //! * [`report`] — small CSV/table helpers shared by the figure harnesses.
@@ -42,7 +44,7 @@ mod eta;
 pub mod perf;
 pub mod report;
 
-pub use backend::FpgaPcgBackend;
+pub use backend::{FpgaPcgBackend, FpgaSolver};
 pub use cache::{CacheLookup, CacheParams, CustomizationCache, PatternArtifacts};
 pub use customize::{
     baseline_config, customize, customize_with_config, layout_for, CustomizationResult,

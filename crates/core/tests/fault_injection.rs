@@ -4,38 +4,20 @@
 //! reported as `NumericalError` — never silently returned as a bogus
 //! `Solved`.
 
-use std::cell::RefCell;
-use std::rc::Rc;
-
-use rsqp_arch::{ArchConfig, FaultConfig, Machine};
-use rsqp_core::FpgaPcgBackend;
+use rsqp_arch::{ArchConfig, FaultConfig, RunStats};
+use rsqp_core::FpgaSolver;
 use rsqp_problems::{generate, Domain};
-use rsqp_solver::{QpProblem, Settings, SolveResult, Solver, Status};
+use rsqp_solver::{QpProblem, Settings, SolveResult, Status};
 
 fn settings() -> Settings {
     Settings { eps_abs: 1e-4, eps_rel: 1e-4, max_iter: 4000, ..Default::default() }
 }
 
-fn solve_with_faults(
-    problem: &QpProblem,
-    fault: FaultConfig,
-) -> (SolveResult, Rc<RefCell<Machine>>, String) {
+fn solve_with_faults(problem: &QpProblem, fault: FaultConfig) -> (SolveResult, RunStats, String) {
     let config = ArchConfig::baseline(16).with_fault_injection(Some(fault));
-    let mut machine_handle = None;
-    let mut solver = Solver::with_backend(problem, settings(), &mut |p, a, sigma, rho, s| {
-        let eps = match s.cg_tolerance {
-            rsqp_solver::CgTolerance::Fixed(e) => e,
-            rsqp_solver::CgTolerance::Adaptive { start, .. } => start,
-        };
-        let (backend, handle) =
-            FpgaPcgBackend::new(p, a, sigma, rho, config.clone(), eps, s.cg_max_iter);
-        machine_handle = Some(handle);
-        Ok(Box::new(backend))
-    })
-    .expect("setup succeeds");
-    let result = solver.solve().expect("recoverable faults must not surface as Err");
-    let final_backend = solver.backend_name().to_string();
-    (result, machine_handle.expect("factory ran"), final_backend)
+    let mut fpga = FpgaSolver::new(problem, settings(), &config).expect("setup succeeds");
+    let result = fpga.solver.solve().expect("recoverable faults must not surface as Err");
+    (result, fpga.stats(), fpga.solver.backend_name().to_string())
 }
 
 /// Worst constraint violation of `x`: `max(l - Ax, Ax - u, 0)`.
@@ -67,9 +49,9 @@ fn heavy_mac_faults_trigger_the_recovery_ladder() {
     // LDLT backend (or, at worst, diagnose a NumericalError).
     let qp = generate(Domain::Control, 3, 11);
     let fault = FaultConfig::new(2024).with_mac_output_flips(1.0);
-    let (r, machine, final_backend) = solve_with_faults(&qp, fault);
+    let (r, stats, final_backend) = solve_with_faults(&qp, fault);
 
-    assert!(machine.borrow().stats().faults > 0, "harness never struck");
+    assert!(stats.faults > 0, "harness never struck");
     assert_no_bogus_solved(&qp, &r);
     match r.status {
         Status::Solved => {
@@ -91,7 +73,7 @@ fn fault_sweep_never_yields_a_bogus_solved() {
     for seed in [1u64, 2, 3] {
         for prob in [0.002, 0.05, 1.0] {
             let fault = FaultConfig::new(seed).with_mac_output_flips(prob);
-            let (r, _machine, _) = solve_with_faults(&qp, fault);
+            let (r, _, _) = solve_with_faults(&qp, fault);
             assert_no_bogus_solved(&qp, &r);
             assert!(
                 matches!(
@@ -109,8 +91,8 @@ fn fault_sweep_never_yields_a_bogus_solved() {
 fn disarmed_fault_harness_is_inert() {
     // Armed with zero probabilities: identical to a fault-free machine.
     let qp = generate(Domain::Control, 3, 11);
-    let (r, machine, _) = solve_with_faults(&qp, FaultConfig::new(99));
+    let (r, stats, _) = solve_with_faults(&qp, FaultConfig::new(99));
     assert_eq!(r.status, Status::Solved);
-    assert_eq!(machine.borrow().stats().faults, 0);
+    assert_eq!(stats.faults, 0);
     assert!(!r.guard.intervened(), "guard intervened on a clean solve: {:?}", r.guard);
 }

@@ -1,9 +1,10 @@
 //! End-to-end: the OSQP ADMM loop converging with the KKT system solved on
 //! the simulated RSQP accelerator, with cycle accounting.
 
+use std::time::Duration;
+
 use rsqp_arch::ArchConfig;
-use rsqp_core::perf::fpga::FpgaPerfModel;
-use rsqp_core::{customize, FpgaPcgBackend};
+use rsqp_core::{customize, FpgaSolver};
 use rsqp_problems::{generate, Domain};
 use rsqp_solver::{LinSysKind, QpProblem, Settings, Solver, Status};
 
@@ -14,24 +15,11 @@ fn settings() -> Settings {
 fn solve_on_fpga(
     problem: &QpProblem,
     config: ArchConfig,
-) -> (rsqp_solver::SolveResult, rsqp_arch::RunStats, u64) {
-    let mut machine_handle = None;
-    let mut outer = 0u64;
-    let mut solver = Solver::with_backend(problem, settings(), &mut |p, a, sigma, rho, s| {
-        let eps = match s.cg_tolerance {
-            rsqp_solver::CgTolerance::Fixed(e) => e,
-            rsqp_solver::CgTolerance::Adaptive { start, .. } => start,
-        };
-        let (backend, handle) =
-            FpgaPcgBackend::new(p, a, sigma, rho, config.clone(), eps, s.cg_max_iter);
-        outer = backend.outer_cycles_per_iteration();
-        machine_handle = Some(handle);
-        Ok(Box::new(backend))
-    })
-    .expect("setup succeeds");
-    let result = solver.solve().expect("solve succeeds");
-    let stats = machine_handle.expect("factory ran").borrow().stats();
-    (result, stats, outer)
+) -> (rsqp_solver::SolveResult, rsqp_arch::RunStats, Duration) {
+    let mut fpga = FpgaSolver::new(problem, settings(), &config).expect("setup succeeds");
+    let result = fpga.solver.solve().expect("solve succeeds");
+    let time = fpga.device_time(fpga.stats(), result.iterations);
+    (result, fpga.stats(), time)
 }
 
 #[test]
@@ -65,27 +53,13 @@ fn customized_architecture_needs_fewer_cycles_than_baseline() {
     let qp = generate(Domain::Svm, 3, 5);
     let custom = customize(&qp, 16, 4);
 
-    let (r_base, s_base, outer_b) = solve_on_fpga(&qp, ArchConfig::baseline(16));
-    let (r_custom, s_custom, outer_c) = solve_on_fpga(&qp, custom.config.clone());
+    let (r_base, _, t_base) = solve_on_fpga(&qp, ArchConfig::baseline(16));
+    let (r_custom, _, t_custom) = solve_on_fpga(&qp, custom.config.clone());
     assert_eq!(r_base.status, Status::Solved);
     assert_eq!(r_custom.status, Status::Solved);
 
     // Same algorithm; cycle counts should favor the customized design
     // (Figure 10's customization speedup).
-    let t_base = FpgaPerfModel::from_config(&ArchConfig::baseline(16)).solve_time(
-        s_base,
-        r_base.iterations,
-        outer_b,
-        qp.num_vars(),
-        qp.num_constraints(),
-    );
-    let t_custom = FpgaPerfModel::from_config(&custom.config).solve_time(
-        s_custom,
-        r_custom.iterations,
-        outer_c,
-        qp.num_vars(),
-        qp.num_constraints(),
-    );
     assert!(t_custom < t_base, "customized {:?} should beat baseline {:?}", t_custom, t_base);
 }
 
@@ -115,16 +89,7 @@ fn matrix_value_update_reuses_the_architecture() {
     let qp1 = generate(Domain::Control, 3, 1);
     let qp2 = generate(Domain::Control, 3, 2);
     let custom = customize(&qp1, 16, 4);
-    let cfg = custom.config.clone();
-    let mut solver = Solver::with_backend(&qp1, settings(), &mut |p, a, sigma, rho, s| {
-        let eps = match s.cg_tolerance {
-            rsqp_solver::CgTolerance::Fixed(e) => e,
-            rsqp_solver::CgTolerance::Adaptive { start, .. } => start,
-        };
-        let (b, _h) = FpgaPcgBackend::new(p, a, sigma, rho, cfg.clone(), eps, s.cg_max_iter);
-        Ok(Box::new(b))
-    })
-    .unwrap();
+    let mut solver = FpgaSolver::new(&qp1, settings(), &custom.config).unwrap().solver;
     let r1 = solver.solve().unwrap();
     assert_eq!(r1.status, Status::Solved);
 

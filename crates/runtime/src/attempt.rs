@@ -213,7 +213,7 @@ fn build_solver(
     if settings.linsys == LinSysKind::DirectLdlt {
         let cached_perm = artifacts
             .filter(|a| a.params.ordering == settings.ordering)
-            .and_then(|a| a.kkt_perm.clone());
+            .map(|a| a.kkt_perm.clone());
         if let Some(perm) = cached_perm {
             return Solver::with_backend_shared(
                 Arc::clone(problem),

@@ -105,7 +105,7 @@ pub trait KktBackend {
 
 /// Computes the fill-reducing ordering [`DirectLdltBackend`] would use for
 /// the KKT pattern of `(P, A)` under `ordering`, without factorizing.
-/// Returns `None` for [`KktOrdering::Natural`] (no permutation).
+/// [`KktOrdering::Natural`] gives the identity.
 ///
 /// The result depends only on the sparsity structure — the KKT values are
 /// assembled with placeholder σ/ρ — so it can be computed once per pattern,
@@ -121,13 +121,18 @@ pub fn kkt_ordering(
     p: &CsrMatrix,
     a: &CsrMatrix,
     ordering: KktOrdering,
-) -> Result<Option<Vec<usize>>, SolverError> {
+) -> Result<Vec<usize>, SolverError> {
     let rho = vec![1.0; a.nrows()];
     let kkt = KktMatrix::assemble(p, a, 1.0, &rho)?;
+    order(&kkt, ordering)
+}
+
+/// The permutation (new → old) of `kkt` under `ordering`.
+fn order(kkt: &KktMatrix, ordering: KktOrdering) -> Result<Vec<usize>, SolverError> {
     Ok(match ordering {
-        KktOrdering::Natural => None,
-        KktOrdering::Rcm => Some(rcm_ordering(kkt.matrix())?),
-        KktOrdering::MinDegree => Some(min_degree_ordering(kkt.matrix())?),
+        KktOrdering::Natural => (0..kkt.matrix().ncols()).collect(),
+        KktOrdering::Rcm => rcm_ordering(kkt.matrix())?,
+        KktOrdering::MinDegree => min_degree_ordering(kkt.matrix())?,
     })
 }
 
@@ -139,7 +144,9 @@ pub struct DirectLdltBackend {
     sigma: f64,
     kkt: KktMatrix,
     factor: Ldlt,
-    permutation: Option<SymmetricPermutation>,
+    /// The factored matrix is always the permuted one; under
+    /// [`KktOrdering::Natural`] the permutation is the identity.
+    permutation: SymmetricPermutation,
     rho_inv: Vec<f64>,
     rhs: Vec<f64>,
     scratch: Vec<f64>,
@@ -171,16 +178,8 @@ impl DirectLdltBackend {
         ordering: KktOrdering,
     ) -> Result<Self, SolverError> {
         let kkt = KktMatrix::assemble(p, a, sigma, rho)?;
-        let permutation = match ordering {
-            KktOrdering::Natural => None,
-            KktOrdering::Rcm => {
-                Some(SymmetricPermutation::new(kkt.matrix(), rcm_ordering(kkt.matrix())?)?)
-            }
-            KktOrdering::MinDegree => {
-                Some(SymmetricPermutation::new(kkt.matrix(), min_degree_ordering(kkt.matrix())?)?)
-            }
-        };
-        Self::from_parts(p, a, sigma, rho, kkt, permutation)
+        let perm = order(&kkt, ordering)?;
+        Self::from_parts(p, a, sigma, rho, kkt, perm)
     }
 
     /// Assembles and factorizes under a caller-provided fill-reducing
@@ -202,8 +201,7 @@ impl DirectLdltBackend {
         perm: Vec<usize>,
     ) -> Result<Self, SolverError> {
         let kkt = KktMatrix::assemble(p, a, sigma, rho)?;
-        let permutation = Some(SymmetricPermutation::new(kkt.matrix(), perm)?);
-        Self::from_parts(p, a, sigma, rho, kkt, permutation)
+        Self::from_parts(p, a, sigma, rho, kkt, perm)
     }
 
     fn from_parts(
@@ -212,12 +210,10 @@ impl DirectLdltBackend {
         sigma: f64,
         rho: &[f64],
         kkt: KktMatrix,
-        permutation: Option<SymmetricPermutation>,
+        perm: Vec<usize>,
     ) -> Result<Self, SolverError> {
-        let factor = match &permutation {
-            Some(sp) => Ldlt::factor(sp.matrix())?,
-            None => Ldlt::factor(kkt.matrix())?,
-        };
+        let permutation = SymmetricPermutation::new(kkt.matrix(), perm)?;
+        let factor = Ldlt::factor(permutation.matrix())?;
         let dim = p.nrows() + a.nrows();
         Ok(DirectLdltBackend {
             n: p.nrows(),
@@ -238,6 +234,15 @@ impl DirectLdltBackend {
     pub fn l_nnz(&self) -> usize {
         self.factor.l_nnz()
     }
+
+    /// Refactors after `self.kkt` took new values (same structure).
+    fn refactor(&mut self, rho: &[f64]) -> Result<(), SolverError> {
+        self.permutation.refresh_values(self.kkt.matrix())?;
+        self.factor.refactor(self.permutation.matrix())?;
+        self.rho_inv = rho.iter().map(|&r| 1.0 / r).collect();
+        self.stats.factorizations += 1;
+        Ok(())
+    }
 }
 
 impl KktBackend for DirectLdltBackend {
@@ -247,16 +252,7 @@ impl KktBackend for DirectLdltBackend {
 
     fn update_rho(&mut self, rho: &[f64]) -> Result<(), SolverError> {
         self.kkt.update_rho(rho)?;
-        match &mut self.permutation {
-            Some(sp) => {
-                sp.refresh_values(self.kkt.matrix())?;
-                self.factor.refactor(sp.matrix())?;
-            }
-            None => self.factor.refactor(self.kkt.matrix())?,
-        }
-        self.rho_inv = rho.iter().map(|&r| 1.0 / r).collect();
-        self.stats.factorizations += 1;
-        Ok(())
+        self.refactor(rho)
     }
 
     fn solve_kkt(
@@ -275,14 +271,9 @@ impl KktBackend for DirectLdltBackend {
         for i in 0..self.m {
             self.rhs[self.n + i] = z[i] - self.rho_inv[i] * y[i];
         }
-        match &self.permutation {
-            Some(sp) => {
-                sp.permute_into(&self.rhs, &mut self.scratch);
-                self.factor.solve_in_place(&mut self.scratch)?;
-                sp.unpermute_into(&self.scratch, &mut self.rhs);
-            }
-            None => self.factor.solve_in_place(&mut self.rhs)?,
-        }
+        self.permutation.permute_into(&self.rhs, &mut self.scratch);
+        self.factor.solve_in_place(&mut self.scratch)?;
+        self.permutation.unpermute_into(&self.scratch, &mut self.rhs);
         xtilde.copy_from_slice(&self.rhs[..self.n]);
         // z̃ = z + ρ⁻¹(ν − y)
         for i in 0..self.m {
@@ -301,16 +292,7 @@ impl KktBackend for DirectLdltBackend {
     ) -> Result<(), SolverError> {
         // Reassemble (same structure by contract) and refactor.
         self.kkt = KktMatrix::assemble(p, a, self.sigma, rho)?;
-        match &mut self.permutation {
-            Some(sp) => {
-                sp.refresh_values(self.kkt.matrix())?;
-                self.factor.refactor(sp.matrix())?;
-            }
-            None => self.factor.refactor(self.kkt.matrix())?,
-        }
-        self.rho_inv = rho.iter().map(|&r| 1.0 / r).collect();
-        self.stats.factorizations += 1;
-        Ok(())
+        self.refactor(rho)
     }
 
     fn stats(&self) -> BackendStats {
@@ -510,7 +492,7 @@ mod tests {
     fn cached_permutation_matches_fresh_ordering() {
         let (p, a, rho) = data();
         let sigma = 1e-6;
-        let perm = kkt_ordering(&p, &a, KktOrdering::MinDegree).unwrap().expect("permutation");
+        let perm = kkt_ordering(&p, &a, KktOrdering::MinDegree).unwrap();
         let mut fresh =
             DirectLdltBackend::with_ordering(&p, &a, sigma, &rho, KktOrdering::MinDegree).unwrap();
         let mut cached = DirectLdltBackend::with_permutation(&p, &a, sigma, &rho, perm).unwrap();
@@ -534,9 +516,9 @@ mod tests {
     }
 
     #[test]
-    fn natural_ordering_has_no_permutation() {
+    fn natural_ordering_is_the_identity() {
         let (p, a, _) = data();
-        assert!(kkt_ordering(&p, &a, KktOrdering::Natural).unwrap().is_none());
+        assert_eq!(kkt_ordering(&p, &a, KktOrdering::Natural).unwrap(), vec![0, 1, 2, 3]);
     }
 
     #[test]

@@ -12,8 +12,8 @@
 //!    (the reverse of the paper's substitution, used as a safety net),
 //! 4. abort with [`crate::Status::NumericalError`].
 //!
-//! The ladder never revisits a rung and the total number of recoveries is
-//! capped, so a persistently faulty backend cannot loop forever. Every
+//! The ladder never revisits a rung, so a solve gets at most three
+//! recoveries and a persistently faulty backend cannot loop forever. Every
 //! event is counted in [`GuardReport`], surfaced in
 //! [`crate::SolveResult::guard`].
 
@@ -30,14 +30,11 @@ pub struct GuardSettings {
     /// Infinity-norm bound on the scaled iterates; exceeding it counts as
     /// divergence even while every entry is still finite.
     pub divergence_threshold: f64,
-    /// Total recovery events allowed before the solve aborts with
-    /// [`crate::Status::NumericalError`].
-    pub max_recoveries: usize,
 }
 
 impl Default for GuardSettings {
     fn default() -> Self {
-        GuardSettings { enabled: true, divergence_threshold: 1e12, max_recoveries: 8 }
+        GuardSettings { enabled: true, divergence_threshold: 1e12 }
     }
 }
 
@@ -112,7 +109,6 @@ pub struct Guard {
     good_z: Vec<f64>,
     good_y: Vec<f64>,
     stage: usize,
-    recoveries: usize,
     report: GuardReport,
 }
 
@@ -134,7 +130,6 @@ impl Guard {
             good_z: z.to_vec(),
             good_y: y.to_vec(),
             stage: 0,
-            recoveries: 0,
             report: GuardReport::default(),
         }
     }
@@ -190,15 +185,10 @@ impl Guard {
     /// to apply. `can_fallback` is `false` when the active backend is
     /// already the direct LDLᵀ solver (that rung is then skipped).
     ///
-    /// Each rung is used at most once and at most
-    /// [`GuardSettings::max_recoveries`] recoveries are granted in total;
-    /// past either bound the action is [`RecoveryAction::Abort`].
+    /// Each rung is used at most once; past the last one the action is
+    /// [`RecoveryAction::Abort`].
     pub fn recover(&mut self, anomaly: &Anomaly, can_fallback: bool) -> RecoveryAction {
         self.report.faults_detected += 1;
-        if self.recoveries >= self.settings.max_recoveries {
-            return RecoveryAction::Abort;
-        }
-        self.recoveries += 1;
         // A backend fault means the KKT solve itself is unreliable —
         // resetting iterates alone cannot help, so enter the ladder at the
         // tolerance-tightening rung.
@@ -311,20 +301,6 @@ mod tests {
         assert_eq!(g.recover(&a, true), RecoveryAction::TightenCgTolerance);
         assert_eq!(g.recover(&a, true), RecoveryAction::FallbackToDirect);
         assert_eq!(g.recover(&a, true), RecoveryAction::Abort);
-    }
-
-    #[test]
-    fn recovery_budget_is_enforced() {
-        let mut g = Guard::new(
-            GuardSettings { max_recoveries: 1, ..Default::default() },
-            &[0.0],
-            &[0.0],
-            &[0.0],
-        );
-        let a = Anomaly::NonFinite { what: "iterate x" };
-        assert_eq!(g.recover(&a, true), RecoveryAction::ResetIterates);
-        assert_eq!(g.recover(&a, true), RecoveryAction::Abort);
-        assert_eq!(g.report().faults_detected, 2);
     }
 
     #[test]

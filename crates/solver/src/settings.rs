@@ -48,6 +48,17 @@ impl Default for CgTolerance {
     }
 }
 
+impl CgTolerance {
+    /// The inner tolerance every solve starts from: the fixed value, or the
+    /// adaptive policy's `start`.
+    pub fn initial(self) -> f64 {
+        match self {
+            CgTolerance::Fixed(eps) => eps,
+            CgTolerance::Adaptive { start, .. } => start,
+        }
+    }
+}
+
 /// Solver settings (defaults follow OSQP).
 #[derive(Debug, Clone, PartialEq)]
 pub struct Settings {
@@ -224,6 +235,12 @@ mod tests {
     #[test]
     fn defaults_are_valid() {
         Settings::default().validate().unwrap();
+    }
+
+    #[test]
+    fn initial_cg_tolerance_follows_the_policy() {
+        assert_eq!(CgTolerance::Fixed(1e-7).initial(), 1e-7);
+        assert_eq!(CgTolerance::default().initial(), 1e-5);
     }
 
     #[test]

@@ -205,21 +205,15 @@ impl Solver {
             LinSysKind::DirectLdlt => {
                 Ok(Box::new(DirectLdltBackend::with_ordering(p, a, sigma, rho, s.ordering)?))
             }
-            LinSysKind::CpuPcg => {
-                let eps = match s.cg_tolerance {
-                    CgTolerance::Fixed(e) => e,
-                    CgTolerance::Adaptive { start, .. } => start,
-                };
-                Ok(Box::new(CpuPcgBackend::with_threads(
-                    p,
-                    a,
-                    sigma,
-                    rho,
-                    eps,
-                    s.cg_max_iter,
-                    s.resolved_threads(),
-                )))
-            }
+            LinSysKind::CpuPcg => Ok(Box::new(CpuPcgBackend::with_threads(
+                p,
+                a,
+                sigma,
+                rho,
+                s.cg_tolerance.initial(),
+                s.cg_max_iter,
+                s.resolved_threads(),
+            ))),
         })
     }
 
@@ -575,13 +569,10 @@ impl Solver {
         }
         let max_iter = control.iter_cap.map_or(s.max_iter, |cap| cap.min(s.max_iter)).max(1);
 
-        let mut cg_eps = match s.cg_tolerance {
-            CgTolerance::Adaptive { start, .. } => {
-                self.backend.set_cg_tolerance(start);
-                start
-            }
-            CgTolerance::Fixed(e) => e,
-        };
+        // Every solve starts from the policy's initial tolerance, whatever
+        // an earlier solve's adaptive schedule or guard tightening left.
+        let mut cg_eps = s.cg_tolerance.initial();
+        self.backend.set_cg_tolerance(cg_eps);
         let mut last_res = f64::INFINITY;
 
         let mut status = Status::MaxIterationsReached;

@@ -1,6 +1,9 @@
 //! End-to-end tests of the numerical guard and recovery ladder, using a
 //! sabotage backend that corrupts KKT solves on demand.
 
+use std::cell::RefCell;
+use std::rc::Rc;
+
 use proptest::prelude::*;
 use rsqp_solver::{
     BackendStats, CgTolerance, CpuPcgBackend, DirectLdltBackend, GuardSettings, KktBackend,
@@ -186,6 +189,79 @@ fn clean_solves_report_no_interventions() {
     let r = s.solve().unwrap();
     assert_eq!(r.status, Status::Solved);
     assert!(!r.guard.intervened(), "spurious guard activity: {:?}", r.guard);
+}
+
+/// Logs the inner tolerance every KKT solve runs at, and fails the first
+/// one so that the guard tightens the tolerance.
+struct ToleranceSpy {
+    inner: CpuPcgBackend,
+    eps: f64,
+    log: Rc<RefCell<Vec<f64>>>,
+}
+
+impl KktBackend for ToleranceSpy {
+    fn name(&self) -> &str {
+        "cpu-pcg"
+    }
+    fn update_rho(&mut self, rho: &[f64]) -> Result<(), SolverError> {
+        self.inner.update_rho(rho)
+    }
+    fn set_cg_tolerance(&mut self, eps: f64) {
+        self.eps = eps;
+        self.inner.set_cg_tolerance(eps);
+    }
+    fn solve_kkt(
+        &mut self,
+        x: &[f64],
+        z: &[f64],
+        y: &[f64],
+        q: &[f64],
+        xtilde: &mut [f64],
+        ztilde: &mut [f64],
+    ) -> Result<(), SolverError> {
+        let mut log = self.log.borrow_mut();
+        log.push(self.eps);
+        if log.len() == 1 {
+            return Err(SolverError::Backend("injected device fault".into()));
+        }
+        self.inner.solve_kkt(x, z, y, q, xtilde, ztilde)
+    }
+    fn update_matrices(
+        &mut self,
+        p: &CsrMatrix,
+        a: &CsrMatrix,
+        rho: &[f64],
+    ) -> Result<(), SolverError> {
+        self.inner.update_matrices(p, a, rho)
+    }
+    fn stats(&self) -> BackendStats {
+        self.inner.stats()
+    }
+}
+
+#[test]
+fn guard_tightening_does_not_leak_into_the_next_solve() {
+    // Solve 1 tightens the fixed tolerance after its first KKT solve fails;
+    // solve 2 must start again from the fixed value.
+    let fixed = 1e-6;
+    let log = Rc::new(RefCell::new(Vec::new()));
+    let settings = Settings { cg_tolerance: CgTolerance::Fixed(fixed), ..guarded_settings() };
+    let mut s = Solver::with_backend(&small_qp(), settings, &mut |p, a, sigma, rho, st| {
+        let eps = st.cg_tolerance.initial();
+        let inner = CpuPcgBackend::new(p, a, sigma, rho, eps, st.cg_max_iter);
+        Ok(Box::new(ToleranceSpy { inner, eps, log: Rc::clone(&log) }))
+    })
+    .unwrap();
+    let first = s.solve().unwrap();
+    assert_eq!(first.status, Status::Solved);
+    assert_eq!(first.guard.cg_tightenings, 1);
+    let calls = log.borrow().len();
+    assert_eq!(log.borrow()[0], fixed);
+    assert!(log.borrow()[calls - 1] < fixed, "the guard did not tighten: {:?}", log.borrow());
+
+    let second = s.solve().unwrap();
+    assert_eq!(second.status, Status::Solved);
+    assert_eq!(log.borrow()[calls], fixed, "solve 2 started from solve 1's tightened tolerance");
 }
 
 proptest! {

@@ -8,11 +8,11 @@
 //!
 //! Run with `cargo run --release --example portfolio_backtest`.
 
-use rsqp::core::perf::fpga::{FpgaPerfModel, FPGA_POWER_W};
+use rsqp::core::perf::fpga::FPGA_POWER_W;
 use rsqp::core::perf::power::throughput_per_watt;
-use rsqp::core::{customize, FpgaPcgBackend};
+use rsqp::core::{customize, FpgaSolver};
 use rsqp::problems::portfolio;
-use rsqp::solver::{CgTolerance, Settings, Solver, Status};
+use rsqp::solver::{Settings, Status};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let factors = 2;
@@ -36,21 +36,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         custom.resources.lut
     );
 
-    let cfg = custom.config.clone();
-    let mut handle = None;
-    let mut outer = 0;
-    let mut solver = Solver::with_backend(&qp, Settings::default(), &mut |p, a, sigma, rho, s| {
-        let eps = match s.cg_tolerance {
-            CgTolerance::Fixed(e) => e,
-            CgTolerance::Adaptive { start, .. } => start,
-        };
-        let (b, h) = FpgaPcgBackend::new(p, a, sigma, rho, cfg.clone(), eps, s.cg_max_iter);
-        outer = b.outer_cycles_per_iteration();
-        handle = Some(h);
-        Ok(Box::new(b))
-    })?;
-    let handle = handle.expect("backend built");
-    let model = FpgaPerfModel::from_config(&custom.config);
+    let mut fpga = FpgaSolver::new(&qp, Settings::default(), &custom.config)?;
 
     // Backtest: re-solve with fresh μ every "day" (warm-started).
     let days = 8;
@@ -58,14 +44,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("\n  day   status    iters    device µs    best asset");
     for day in 0..days {
         let q = portfolio::resample_returns(&qp, 1000 + day as u64);
-        solver.update_q(q)?;
-        let before = handle.borrow().stats();
-        let r = solver.solve()?;
+        fpga.solver.update_q(q)?;
+        let before = fpga.stats();
+        let r = fpga.solver.solve()?;
         assert_eq!(r.status, Status::Solved);
-        let after = handle.borrow().stats();
-        let delta =
-            rsqp::arch::RunStats { cycles: after.cycles - before.cycles, ..Default::default() };
-        let t = model.solve_time(delta, r.iterations, outer, qp.num_vars(), qp.num_constraints());
+        let t = fpga.device_time(fpga.stats().since(before), r.iterations);
         total_time += t.as_secs_f64();
         let best =
             r.x.iter()

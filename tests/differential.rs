@@ -19,7 +19,7 @@
 //! contract).
 
 use rsqp::arch::ArchConfig;
-use rsqp::core::FpgaPcgBackend;
+use rsqp::core::FpgaSolver;
 use rsqp::problems::{generate, Domain};
 use rsqp::solver::{CgTolerance, LinSysKind, QpProblem, Settings, SolveResult, Solver, Status};
 
@@ -54,22 +54,10 @@ fn solve_pcg(problem: &QpProblem, threads: usize) -> SolveResult {
 }
 
 fn solve_machine(problem: &QpProblem) -> SolveResult {
-    let cfg = ArchConfig::baseline(16);
-    let mut solver = Solver::with_backend(
-        problem,
-        settings(LinSysKind::CpuPcg, 1),
-        &mut |p, a, sigma, rho, s| {
-            let eps = match s.cg_tolerance {
-                CgTolerance::Fixed(e) => e,
-                CgTolerance::Adaptive { start, .. } => start,
-            };
-            let (b, _handle) =
-                FpgaPcgBackend::new(p, a, sigma, rho, cfg.clone(), eps, s.cg_max_iter);
-            Ok(Box::new(b))
-        },
-    )
-    .unwrap();
-    solver.solve().unwrap()
+    let mut fpga =
+        FpgaSolver::new(problem, settings(LinSysKind::CpuPcg, 1), &ArchConfig::baseline(16))
+            .unwrap();
+    fpga.solver.solve().unwrap()
 }
 
 fn assert_agreement(problem: &QpProblem, results: &[(&str, SolveResult)]) {
