@@ -5,7 +5,6 @@ use rsqp_encode::{greedy_schedule, Schedule, SparsityString};
 use rsqp_sparse::CsrMatrix;
 
 use crate::config::CvbPolicy;
-use crate::program::class_of;
 use crate::{ArchConfig, ArchError, Instr, MatrixId, Program, SReg, ScalarOp, VecId};
 
 /// Per-instruction-class cycle totals — the machine's answer to "where did
@@ -33,16 +32,22 @@ impl CycleBreakdown {
         self.spmv + self.vector + self.duplication + self.scalar + self.transfer + self.control
     }
 
-    fn add(&mut self, class: &str, cycles: u64) {
-        match class {
-            "spmv" => self.spmv += cycles,
-            "vector" => self.vector += cycles,
-            "duplication" => self.duplication += cycles,
-            "scalar" => self.scalar += cycles,
-            "transfer" => self.transfer += cycles,
-            "control" => self.control += cycles,
-            other => unreachable!("unknown class {other}"),
-        }
+    /// Charges `cycles` to the class of `i` (the field named by
+    /// [`crate::instruction_class`]).
+    fn add(&mut self, i: &Instr, cycles: u64) {
+        let class = match i {
+            Instr::LoopStart | Instr::LoopEndIfLess { .. } => &mut self.control,
+            Instr::Scalar { .. } | Instr::SetScalar { .. } => &mut self.scalar,
+            Instr::LoadHbm { .. } | Instr::StoreHbm { .. } => &mut self.transfer,
+            Instr::Lincomb { .. }
+            | Instr::EwMul { .. }
+            | Instr::EwMax { .. }
+            | Instr::EwMin { .. }
+            | Instr::Dot { .. } => &mut self.vector,
+            Instr::Duplicate { .. } => &mut self.duplication,
+            Instr::Spmv { .. } => &mut self.spmv,
+        };
+        *class += cycles;
     }
 
     fn since(self, earlier: CycleBreakdown) -> CycleBreakdown {
@@ -67,7 +72,9 @@ pub struct RunStats {
     pub breakdown: CycleBreakdown,
     /// Instructions retired.
     pub instructions: u64,
-    /// Hardware-loop trips taken.
+    /// Hardware-loop back-edges taken: a `LoopEndIfLess` that jumps back
+    /// to the loop start. The loop body runs once more than this per run,
+    /// because the exit test sits at its end.
     pub loop_trips: u64,
     /// Bytes moved over the (simulated) HBM interface by `LoadHbm` /
     /// `StoreHbm` (8 bytes per element).
@@ -244,10 +251,10 @@ impl Machine {
     /// Panics if the sparsity structure differs.
     pub fn update_matrix_values(&mut self, id: MatrixId, m: &CsrMatrix) {
         let unit = &mut self.matrices[id.0];
+        // The sparsity string is a function of `indptr` and `C` alone, so
+        // equal `indptr` and `indices` keep the string, schedule and layout.
         assert!(
-            rsqp_encode::SparsityString::encode(m, self.config.c()).chars() == unit.string.chars()
-                && unit.csr.indptr() == m.indptr()
-                && unit.csr.indices() == m.indices(),
+            unit.csr.indptr() == m.indptr() && unit.csr.indices() == m.indices(),
             "matrix value update changed the sparsity structure"
         );
         unit.csr = m.clone();
@@ -294,7 +301,7 @@ impl Machine {
             let i = &instrs[pc];
             let cycles = self.execute(i)?;
             self.stats.cycles += cycles;
-            self.stats.breakdown.add(class_of(i), cycles);
+            self.stats.breakdown.add(i, cycles);
             self.stats.instructions += 1;
             match i {
                 Instr::LoopEndIfLess { a, b } => {
@@ -369,34 +376,25 @@ impl Machine {
                 self.check_sreg(alpha)?;
                 self.check_sreg(beta)?;
                 let (al, be) = (self.sregs[alpha.0], self.sregs[beta.0]);
-                for k in 0..l {
-                    let v = al * self.vecs[a.0][k] + be * self.vecs[b.0][k];
-                    self.vecs[dst.0][k] = v;
-                }
+                self.zip_into(dst, a, b, |x, y| al * x + be * y);
                 self.bump(dst);
                 Ok(self.config.vector_cycles(l))
             }
             Instr::EwMul { dst, a, b } => {
                 let l = self.binary_lengths("ew_mul", dst, a, b)?;
-                for k in 0..l {
-                    self.vecs[dst.0][k] = self.vecs[a.0][k] * self.vecs[b.0][k];
-                }
+                self.zip_into(dst, a, b, |x, y| x * y);
                 self.bump(dst);
                 Ok(self.config.vector_cycles(l))
             }
             Instr::EwMax { dst, a, b } => {
                 let l = self.binary_lengths("ew_max", dst, a, b)?;
-                for k in 0..l {
-                    self.vecs[dst.0][k] = self.vecs[a.0][k].max(self.vecs[b.0][k]);
-                }
+                self.zip_into(dst, a, b, f64::max);
                 self.bump(dst);
                 Ok(self.config.vector_cycles(l))
             }
             Instr::EwMin { dst, a, b } => {
                 let l = self.binary_lengths("ew_min", dst, a, b)?;
-                for k in 0..l {
-                    self.vecs[dst.0][k] = self.vecs[a.0][k].min(self.vecs[b.0][k]);
-                }
+                self.zip_into(dst, a, b, f64::min);
                 self.bump(dst);
                 Ok(self.config.vector_cycles(l))
             }
@@ -442,28 +440,37 @@ impl Machine {
                     Some((v, ver)) if v == input && ver == self.vec_versions[input.0] => {}
                     _ => return Err(ArchError::StaleCvb { matrix: matrix.0 }),
                 }
-                if self.vecs[output.0].len() != unit.csr.nrows() {
+                let l_out = unit.csr.nrows();
+                if self.vecs[output.0].len() != l_out {
                     return Err(ArchError::LengthMismatch {
                         instr: "spmv output".into(),
-                        expected: unit.csr.nrows(),
+                        expected: l_out,
                         found: self.vecs[output.0].len(),
                     });
                 }
-                let mut result = if self.lane_exact {
-                    spmv_via_datapath(unit, self.config.set(), &self.vecs[input.0])
-                } else {
-                    let mut y = vec![0.0; unit.csr.nrows()];
-                    unit.csr.spmv(&self.vecs[input.0], &mut y).expect("lengths checked above");
-                    y
-                };
                 let cycles = cost.spmv_latency + unit.schedule.cycles() as u64;
+                // The output register is taken out and written in place; when
+                // it is also the input, the SpMV reads a copy of it.
+                let mut y = std::mem::take(&mut self.vecs[output.0]);
+                let aliased;
+                let x = if input == output {
+                    aliased = y.clone();
+                    &aliased
+                } else {
+                    &self.vecs[input.0]
+                };
+                if self.lane_exact {
+                    y = spmv_via_datapath(unit, self.config.set(), x);
+                } else {
+                    unit.csr.spmv(x, &mut y).expect("lengths checked above");
+                }
+                self.vecs[output.0] = y;
                 // A MAC-tree upset corrupts one freshly reduced output word.
-                if let Some((idx, bit)) = self.fault_draw(|f| f.mac_output_flip_prob, result.len())
-                {
-                    result[idx] = f64::from_bits(result[idx].to_bits() ^ (1u64 << bit));
+                if let Some((idx, bit)) = self.fault_draw(|f| f.mac_output_flip_prob, l_out) {
+                    let v = &mut self.vecs[output.0][idx];
+                    *v = f64::from_bits(v.to_bits() ^ (1u64 << bit));
                     self.stats.faults += 1;
                 }
-                self.vecs[output.0] = result;
                 self.bump(output);
                 Ok(cycles)
             }
@@ -503,6 +510,28 @@ impl Machine {
         z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
         z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
         z ^ (z >> 31)
+    }
+
+    /// `dst[k] = f(a[k], b[k])` for every element, over slices borrowed
+    /// once. The destination register is taken out for the loop, so each
+    /// way it can alias an operand is its own case; `f` always sees `a`'s
+    /// element first. Lengths are checked by [`Machine::binary_lengths`].
+    fn zip_into(&mut self, dst: VecId, a: VecId, b: VecId, f: impl Fn(f64, f64) -> f64) {
+        let mut out = std::mem::take(&mut self.vecs[dst.0]);
+        match (dst == a, dst == b) {
+            (true, true) => out.iter_mut().for_each(|o| *o = f(*o, *o)),
+            (true, false) => {
+                out.iter_mut().zip(&self.vecs[b.0]).for_each(|(o, &y)| *o = f(*o, y));
+            }
+            (false, true) => {
+                out.iter_mut().zip(&self.vecs[a.0]).for_each(|(o, &x)| *o = f(x, *o));
+            }
+            (false, false) => {
+                let (xs, ys) = (&self.vecs[a.0], &self.vecs[b.0]);
+                out.iter_mut().zip(xs.iter().zip(ys)).for_each(|(o, (&x, &y))| *o = f(x, y));
+            }
+        }
+        self.vecs[dst.0] = out;
     }
 
     fn bump(&mut self, id: VecId) {
@@ -912,6 +941,112 @@ mod tests {
         assert_eq!(snap.counter("machine_instructions"), 4);
         assert_eq!(snap.counter("machine_faults"), 0);
         assert_eq!(snap.counter("machine_cycles_transfer"), 2 * stats.breakdown.transfer);
+    }
+
+    #[test]
+    fn cycles_are_charged_to_the_class_instruction_class_names() {
+        let (v, s, mat) = (VecId(0), SReg(0), MatrixId(0));
+        for i in [
+            Instr::LoopStart,
+            Instr::LoopEndIfLess { a: s, b: s },
+            Instr::SetScalar { dst: s, value: 0.0 },
+            Instr::Scalar { op: ScalarOp::Add, dst: s, a: s, b: s },
+            Instr::LoadHbm { vec: v },
+            Instr::StoreHbm { vec: v },
+            Instr::Lincomb { dst: v, alpha: s, a: v, beta: s, b: v },
+            Instr::EwMul { dst: v, a: v, b: v },
+            Instr::EwMax { dst: v, a: v, b: v },
+            Instr::EwMin { dst: v, a: v, b: v },
+            Instr::Dot { dst: s, a: v, b: v },
+            Instr::Duplicate { vec: v, matrix: mat },
+            Instr::Spmv { matrix: mat, input: v, output: v },
+        ] {
+            let mut b = CycleBreakdown::default();
+            b.add(&i, 1);
+            let charged = match crate::instruction_class(&i) {
+                "spmv" => b.spmv,
+                "vector" => b.vector,
+                "duplication" => b.duplication,
+                "scalar" => b.scalar,
+                "transfer" => b.transfer,
+                "control" => b.control,
+                other => panic!("unknown class {other}"),
+            };
+            assert_eq!((charged, b.total()), (1, 1), "{i:?}");
+        }
+    }
+
+    #[test]
+    fn loop_trips_count_back_edges_so_the_body_runs_once_more() {
+        for limit in [0.5, 1.5, 4.5] {
+            let mut m = machine4();
+            let body_runs = m.alloc_scalar();
+            let one = m.alloc_scalar();
+            let bound = m.alloc_scalar();
+            m.write_scalar(one, 1.0);
+            m.write_scalar(bound, limit);
+            let mut pb = ProgramBuilder::new();
+            pb.loop_start();
+            pb.push(Instr::Scalar { op: ScalarOp::Add, dst: body_runs, a: body_runs, b: one });
+            pb.loop_end_if_less(bound, body_runs);
+            let stats = m.run(&pb.build().unwrap()).unwrap();
+            assert_eq!(m.read_scalar(body_runs), limit.ceil());
+            assert_eq!(stats.loop_trips + 1, m.read_scalar(body_runs) as u64, "limit {limit}");
+        }
+    }
+
+    #[test]
+    fn spmv_may_write_its_own_input() {
+        for lane_exact in [false, true] {
+            let mut m = machine4();
+            m.set_lane_exact(lane_exact);
+            let csr = CsrMatrix::from_dense(&[vec![1.0, 2.0], vec![0.0, 3.0]]);
+            let mat = m.add_matrix(&csr);
+            let x = m.alloc_vec(2);
+            m.write_vec(x, &[1.0, 1.0]);
+            let mut pb = ProgramBuilder::new();
+            pb.push(Instr::Duplicate { vec: x, matrix: mat });
+            pb.push(Instr::Spmv { matrix: mat, input: x, output: x });
+            pb.push(Instr::Duplicate { vec: x, matrix: mat });
+            pb.push(Instr::Spmv { matrix: mat, input: x, output: x });
+            m.run(&pb.build().unwrap()).unwrap();
+            assert_eq!(m.read_vec(x), &[9.0, 9.0], "lane_exact: {lane_exact}");
+        }
+    }
+
+    #[test]
+    fn value_update_keeps_the_schedule_and_its_cycles() {
+        let csr = CsrMatrix::from_dense(&[vec![1.0, 2.0, 0.0], vec![0.0, 3.0, 4.0]]);
+        let run = |m: &mut Machine, mat: MatrixId| {
+            let (x, y) = (m.alloc_vec(3), m.alloc_vec(2));
+            m.write_vec(x, &[1.0, 1.0, 1.0]);
+            let mut pb = ProgramBuilder::new();
+            pb.push(Instr::Duplicate { vec: x, matrix: mat });
+            pb.push(Instr::Spmv { matrix: mat, input: x, output: y });
+            let stats = m.run(&pb.build().unwrap()).unwrap();
+            (stats, m.read_vec(y).to_vec())
+        };
+        let mut m = machine4();
+        let mat = m.add_matrix(&csr);
+        let schedule = m.schedule_of(mat).clone();
+        let (before, y0) = run(&mut m, mat);
+        m.update_matrix_values(
+            mat,
+            &CsrMatrix::from_dense(&[vec![5.0, 6.0, 0.0], vec![0.0, 7.0, 8.0]]),
+        );
+        let (after, y1) = run(&mut m, mat);
+        assert_eq!((y0, y1), (vec![3.0, 7.0], vec![11.0, 15.0]));
+        assert_eq!(m.schedule_of(mat), &schedule);
+        assert_eq!(after, before, "a value-only update must not move any count");
+    }
+
+    #[test]
+    #[should_panic(expected = "changed the sparsity structure")]
+    fn value_update_rejects_a_structure_change() {
+        let mut m = machine4();
+        let mat = m.add_matrix(&CsrMatrix::from_dense(&[vec![1.0, 2.0], vec![0.0, 3.0]]));
+        // Same row counts (so the same sparsity string), other columns.
+        m.update_matrix_values(mat, &CsrMatrix::from_dense(&[vec![1.0, 2.0], vec![3.0, 0.0]]));
     }
 
     #[test]

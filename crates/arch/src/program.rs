@@ -110,9 +110,10 @@ impl ProgramBuilder {
     }
 }
 
-/// Convenience: a short human-readable instruction-class histogram used by
+/// The class an instruction belongs to in Table 1 — the name of the
+/// [`crate::CycleBreakdown`] field its cycles are charged to. Used by
 /// reports and the Table 1 regenerator.
-pub(crate) fn class_of(i: &Instr) -> &'static str {
+pub fn instruction_class(i: &Instr) -> &'static str {
     match i {
         Instr::LoopStart | Instr::LoopEndIfLess { .. } => "control",
         Instr::Scalar { .. } | Instr::SetScalar { .. } => "scalar",
@@ -125,11 +126,6 @@ pub(crate) fn class_of(i: &Instr) -> &'static str {
         Instr::Duplicate { .. } => "duplication",
         Instr::Spmv { .. } => "spmv",
     }
-}
-
-/// Public wrapper over the class name of an instruction.
-pub fn instruction_class(i: &Instr) -> &'static str {
-    class_of(i)
 }
 
 #[cfg(test)]

@@ -104,6 +104,9 @@ pub struct FpgaPcgBackend {
     matrix_ids: (MatrixId, MatrixId, MatrixId),
     a: CsrMatrix,
     p_diag: Vec<f64>,
+    /// Host buffer the Jacobi inverse diagonal is rebuilt in on every ρ
+    /// update, so the update allocates nothing.
+    minv: Vec<f64>,
     rho: Vec<f64>,
     sigma: f64,
     eps: f64,
@@ -150,6 +153,7 @@ impl FpgaPcgBackend {
             matrix_ids,
             a: a.clone(),
             p_diag: p.diagonal(),
+            minv: vec![0.0; n],
             rho: rho.to_vec(),
             sigma,
             eps: cg_eps,
@@ -169,11 +173,11 @@ impl FpgaPcgBackend {
     }
 
     fn refresh_device_constants(&mut self) {
-        // Jacobi inverse diagonal: diag(P) + σ + Σ ρ_i A_{i,·}².
-        let n = self.p_diag.len();
-        let mut diag = self.p_diag.clone();
-        for d in &mut diag {
-            *d += self.sigma;
+        // Jacobi inverse diagonal: diag(P) + σ + Σ ρ_i A_{i,·}², built in
+        // place and then inverted.
+        let diag = &mut self.minv;
+        for (d, &p) in diag.iter_mut().zip(&self.p_diag) {
+            *d = p + self.sigma;
         }
         for i in 0..self.a.nrows() {
             let (cols, vals) = self.a.row(i);
@@ -181,10 +185,11 @@ impl FpgaPcgBackend {
                 diag[j] += self.rho[i] * v * v;
             }
         }
-        let minv: Vec<f64> = diag.iter().map(|&d| if d != 0.0 { 1.0 / d } else { 1.0 }).collect();
-        debug_assert_eq!(minv.len(), n);
+        for d in diag.iter_mut() {
+            *d = if *d != 0.0 { 1.0 / *d } else { 1.0 };
+        }
         let mut machine = self.machine.borrow_mut();
-        machine.write_vec(self.kernel.minv, &minv);
+        machine.write_vec(self.kernel.minv, &self.minv);
         machine.write_vec(self.kernel.rho_vec, &self.rho);
         machine.write_scalar(self.kernel.sigma, self.sigma);
         machine.write_scalar(self.kernel.eps, self.eps);
