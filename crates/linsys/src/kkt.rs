@@ -12,7 +12,7 @@
 
 use std::sync::Arc;
 
-use rsqp_par::ThreadPool;
+use rsqp_par::{spmv_chunks, ThreadPool};
 use rsqp_sparse::{CooMatrix, CscMatrix, CsrMatrix, RowPartition, TransposeCache};
 
 use crate::pcg::LinearOperator;
@@ -150,7 +150,9 @@ impl KktMatrix {
 /// `A` and `Aᵀ` explicitly for row-major streaming). The operator owns its
 /// matrices behind [`Arc`]s so backends can hold it across iterations
 /// without cloning data, and runs its SpMVs on a shared [`ThreadPool`] over
-/// nnz-balanced [`RowPartition`]s — bit-identical for every pool size.
+/// nnz-balanced [`RowPartition`]s — bit-identical for every pool size. A
+/// matrix below [`rsqp_par::PAR_NNZ_THRESHOLD`] stored entries gets a
+/// single chunk, so its SpMV runs inline and never wakes the pool.
 #[derive(Debug, Clone)]
 pub struct ReducedKktOp {
     p: Arc<CsrMatrix>,
@@ -184,8 +186,9 @@ impl ReducedKktOp {
     }
 
     /// Creates the operator on an existing pool without copying matrix
-    /// data. Row partitions are balanced by nnz for the pool size; the `Aᵀ`
-    /// cache is built here, once.
+    /// data. Each of `P`, `A` and `Aᵀ` gets a row partition balanced by nnz
+    /// with [`rsqp_par::spmv_chunks`] chunks for its own nnz and the pool
+    /// size; the `Aᵀ` cache is built here, once.
     ///
     /// # Errors
     ///
@@ -215,12 +218,12 @@ impl ReducedKktOp {
             )));
         }
         let at = TransposeCache::new(&a);
-        // A mild oversplit (2 chunks per thread) smooths out rows of uneven
-        // cost without shrinking chunks below useful sizes.
-        let chunks = pool.threads() * 2;
-        let p_part = RowPartition::balanced(&p, chunks);
-        let a_part = RowPartition::balanced(&a, chunks);
-        let at_part = RowPartition::balanced(at.matrix(), chunks);
+        // Each matrix is split only if its own SpMV is big enough to pay
+        // for waking the pool; a one-chunk partition runs inline.
+        let part = |m: &CsrMatrix| RowPartition::balanced(m, spmv_chunks(m.nnz(), pool.threads()));
+        let p_part = part(&p);
+        let a_part = part(&a);
+        let at_part = part(at.matrix());
         Ok(ReducedKktOp {
             p,
             a,
@@ -394,6 +397,8 @@ impl LinearOperator for ReducedKktOp {
 
 #[cfg(test)]
 mod tests {
+    use rsqp_par::PAR_NNZ_THRESHOLD;
+
     use super::*;
     use crate::Ldlt;
 
@@ -401,6 +406,80 @@ mod tests {
         let p = CsrMatrix::from_dense(&[vec![4.0, 1.0], vec![1.0, 2.0]]);
         let a = CsrMatrix::from_dense(&[vec![1.0, 0.0], vec![0.0, 1.0], vec![1.0, 1.0]]);
         (p, a)
+    }
+
+    /// `rows × cols` with `per_row` entries in each row at pseudo-random
+    /// columns (row `i` always holds column `i % cols`) and values.
+    fn scattered(rows: usize, cols: usize, per_row: usize) -> CsrMatrix {
+        let mut coo = CooMatrix::with_capacity(rows, cols, rows * per_row);
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        for i in 0..rows {
+            for k in 0..per_row {
+                state = state
+                    .wrapping_mul(6_364_136_223_846_793_005)
+                    .wrapping_add(1_442_695_040_888_963_407);
+                let col = if k == 0 { i % cols } else { (state >> 33) as usize % cols };
+                coo.push(i, col, (state >> 11) as f64 / (1u64 << 53) as f64 - 0.5);
+            }
+        }
+        coo.to_csr()
+    }
+
+    fn test_vector(len: usize) -> Vec<f64> {
+        (0..len).map(|i| ((i as f64) * 0.37).sin()).collect()
+    }
+
+    #[test]
+    fn only_matrices_above_the_nnz_gate_are_split() {
+        let n = 1500;
+        // P above the gate, A (and so Aᵀ) below it — and the converse.
+        let big_p = scattered(n, n, 24);
+        let small_a = scattered(40, n, 4);
+        let small_p = scattered(n, n, 1);
+        let big_a = scattered(2000, n, 20);
+        assert!(big_p.nnz() >= PAR_NNZ_THRESHOLD && big_a.nnz() >= PAR_NNZ_THRESHOLD);
+        assert!(small_p.nnz() < PAR_NNZ_THRESHOLD && small_a.nnz() < PAR_NNZ_THRESHOLD);
+        let chunks = |p: &CsrMatrix, a: &CsrMatrix, threads: usize| {
+            let pool = Arc::new(ThreadPool::new(threads));
+            let rho = vec![0.1; a.nrows()];
+            let op =
+                ReducedKktOp::with_pool(Arc::new(p.clone()), Arc::new(a.clone()), 1e-6, &rho, pool)
+                    .unwrap();
+            (op.p_part.num_chunks(), op.a_part.num_chunks(), op.at_part.num_chunks())
+        };
+        assert_eq!(chunks(&big_p, &small_a, 2), (4, 1, 1));
+        assert_eq!(chunks(&small_p, &big_a, 2), (1, 4, 4));
+        assert_eq!(chunks(&big_p, &big_a, 1), (1, 1, 1));
+    }
+
+    #[test]
+    fn split_operator_is_bit_identical_across_pools() {
+        let n = 1500;
+        let (p, a) = (scattered(n, n, 24), scattered(2000, n, 20));
+        let rho: Vec<f64> = (0..a.nrows()).map(|i| 0.1 + (i % 7) as f64 * 0.05).collect();
+        let x = test_vector(n);
+        let xm = test_vector(a.nrows());
+        // apply, A·x and Aᵀ-accumulate, as a KKT solve uses them.
+        let run = |op: &mut ReducedKktOp| {
+            let mut y = vec![0.0; n];
+            op.apply(&x, &mut y).unwrap();
+            let mut z = vec![0.0; a.nrows()];
+            op.a_spmv(&x, &mut z).unwrap();
+            let mut w = test_vector(n);
+            op.at_spmv_acc(0.7, &xm, &mut w).unwrap();
+            [y, z, w].concat().iter().map(|v| v.to_bits()).collect::<Vec<u64>>()
+        };
+        let want = run(&mut ReducedKktOp::new(&p, &a, 1e-6, &rho).unwrap());
+        for threads in [1usize, 2, 8] {
+            let pool = Arc::new(ThreadPool::new(threads));
+            let mut op =
+                ReducedKktOp::with_pool(Arc::new(p.clone()), Arc::new(a.clone()), 1e-6, &rho, pool)
+                    .unwrap();
+            // The pooled operators really dispatch: every matrix is split.
+            let split = [&op.p_part, &op.a_part, &op.at_part].map(|part| part.num_chunks() > 1);
+            assert_eq!(split, [threads > 1; 3], "threads={threads}");
+            assert_eq!(run(&mut op), want, "threads={threads}");
+        }
     }
 
     #[test]

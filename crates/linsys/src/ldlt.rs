@@ -27,6 +27,33 @@ pub struct Ldlt {
     d: Vec<f64>,
     dinv: Vec<f64>,
     pos_d: usize,
+    /// Numeric-phase workspace, kept so a refactor allocates nothing.
+    work: RefactorWork,
+}
+
+/// Length-`n` scratch of the numeric phase. Every marker is `false` and
+/// every `y_vals` entry `0.0` between columns, and so on every return from
+/// [`Ldlt::refactor`]: each column's scatter lands only on rows of its
+/// reach, and processing the reach undoes it before any error return.
+#[derive(Debug, Clone)]
+struct RefactorWork {
+    y_markers: Vec<bool>,
+    y_idx: Vec<usize>,
+    elim_buffer: Vec<usize>,
+    l_next_space: Vec<usize>,
+    y_vals: Vec<f64>,
+}
+
+impl RefactorWork {
+    fn new(n: usize) -> Self {
+        RefactorWork {
+            y_markers: vec![false; n],
+            y_idx: vec![0; n],
+            elim_buffer: vec![0; n],
+            l_next_space: vec![0; n],
+            y_vals: vec![0.0; n],
+        }
+    }
 }
 
 impl Ldlt {
@@ -63,6 +90,7 @@ impl Ldlt {
             d: vec![0.0; n],
             dinv: vec![0.0; n],
             pos_d: 0,
+            work: RefactorWork::new(n),
         };
         for j in 0..n {
             fac.l_colptr[j + 1] = fac.l_colptr[j] + fac.lnz[j];
@@ -92,87 +120,21 @@ impl Ldlt {
                 n
             )));
         }
-        let mut y_markers = vec![false; n];
-        let mut y_idx = vec![0usize; n];
-        let mut elim_buffer = vec![0usize; n];
-        let mut l_next_space = vec![0usize; n];
-        let mut y_vals = vec![0.0f64; n];
-        l_next_space[..n].copy_from_slice(&self.l_colptr[..n]);
-        self.pos_d = 0;
-
-        for k in 0..n {
-            let (rows, vals) = a.col(k);
-            if rows.is_empty() {
-                return Err(LinsysError::MissingDiagonal(k));
-            }
-            // Upper-triangular sorted columns keep the diagonal last.
-            let last = rows.len() - 1;
-            if rows[last] != k {
-                return if rows[last] > k {
-                    Err(LinsysError::NotUpperTriangular)
-                } else {
-                    Err(LinsysError::MissingDiagonal(k))
-                };
-            }
-            self.d[k] = vals[last];
-
-            // Scatter the strictly-upper entries of column k and compute the
-            // elimination reach through the etree.
-            let mut nnz_y = 0usize;
-            for p in 0..last {
-                let b_idx = rows[p];
-                y_vals[b_idx] = vals[p];
-                let mut next_idx = b_idx;
-                if !y_markers[next_idx] {
-                    y_markers[next_idx] = true;
-                    elim_buffer[0] = next_idx;
-                    let mut nnz_e = 1usize;
-                    loop {
-                        let parent = self.etree[next_idx];
-                        if parent == -1 || parent as usize >= k {
-                            break;
-                        }
-                        let parent = parent as usize;
-                        if y_markers[parent] {
-                            break;
-                        }
-                        y_markers[parent] = true;
-                        elim_buffer[nnz_e] = parent;
-                        nnz_e += 1;
-                        next_idx = parent;
-                    }
-                    while nnz_e > 0 {
-                        nnz_e -= 1;
-                        y_idx[nnz_y] = elim_buffer[nnz_e];
-                        nnz_y += 1;
-                    }
-                }
-            }
-
-            // Process the reach in topological (reverse insertion) order.
-            for i in (0..nnz_y).rev() {
-                let cidx = y_idx[i];
-                let tmp_idx = l_next_space[cidx];
-                let y_val = y_vals[cidx];
-                for j in self.l_colptr[cidx]..tmp_idx {
-                    y_vals[self.l_rowidx[j]] -= self.l_data[j] * y_val;
-                }
-                self.l_rowidx[tmp_idx] = k;
-                self.l_data[tmp_idx] = y_val * self.dinv[cidx];
-                self.d[k] -= y_val * self.l_data[tmp_idx];
-                l_next_space[cidx] += 1;
-                y_vals[cidx] = 0.0;
-                y_markers[cidx] = false;
-            }
-
-            if self.d[k] == 0.0 {
-                return Err(LinsysError::ZeroPivot(k));
-            }
-            if self.d[k] > 0.0 {
-                self.pos_d += 1;
-            }
-            self.dinv[k] = 1.0 / self.d[k];
-        }
+        let RefactorWork { y_markers, y_idx, elim_buffer, l_next_space, y_vals } = &mut self.work;
+        self.pos_d = numeric(
+            a,
+            &self.etree,
+            &self.l_colptr,
+            &mut self.l_rowidx,
+            &mut self.l_data,
+            &mut self.d,
+            &mut self.dinv,
+            y_markers,
+            y_idx,
+            elim_buffer,
+            l_next_space,
+            y_vals,
+        )?;
         Ok(())
     }
 
@@ -279,6 +241,105 @@ impl Ldlt {
         }
         Ok(x)
     }
+}
+
+/// The numeric phase of [`Ldlt::refactor`] (QDLDL's `QDLDL_factor`):
+/// writes `L`, `D` and `D⁻¹` for `a` under the symbolic analysis in
+/// `etree`/`l_colptr`, and returns the number of positive pivots. Every
+/// array is its own argument, as in QDLDL, so the compiler knows that no two
+/// of them alias.
+fn numeric(
+    a: &CscMatrix,
+    etree: &[isize],
+    l_colptr: &[usize],
+    l_rowidx: &mut [usize],
+    l_data: &mut [f64],
+    d: &mut [f64],
+    dinv: &mut [f64],
+    y_markers: &mut [bool],
+    y_idx: &mut [usize],
+    elim_buffer: &mut [usize],
+    l_next_space: &mut [usize],
+    y_vals: &mut [f64],
+) -> Result<usize, LinsysError> {
+    let n = d.len();
+    let mut pos_d = 0;
+    l_next_space.copy_from_slice(&l_colptr[..n]);
+
+    for k in 0..n {
+        let (rows, vals) = a.col(k);
+        if rows.is_empty() {
+            return Err(LinsysError::MissingDiagonal(k));
+        }
+        // Upper-triangular sorted columns keep the diagonal last.
+        let last = rows.len() - 1;
+        if rows[last] != k {
+            return if rows[last] > k {
+                Err(LinsysError::NotUpperTriangular)
+            } else {
+                Err(LinsysError::MissingDiagonal(k))
+            };
+        }
+        d[k] = vals[last];
+
+        // Scatter the strictly-upper entries of column k and compute the
+        // elimination reach through the etree.
+        let mut nnz_y = 0usize;
+        for p in 0..last {
+            let b_idx = rows[p];
+            y_vals[b_idx] = vals[p];
+            let mut next_idx = b_idx;
+            if !y_markers[next_idx] {
+                y_markers[next_idx] = true;
+                elim_buffer[0] = next_idx;
+                let mut nnz_e = 1usize;
+                loop {
+                    let parent = etree[next_idx];
+                    if parent == -1 || parent as usize >= k {
+                        break;
+                    }
+                    let parent = parent as usize;
+                    if y_markers[parent] {
+                        break;
+                    }
+                    y_markers[parent] = true;
+                    elim_buffer[nnz_e] = parent;
+                    nnz_e += 1;
+                    next_idx = parent;
+                }
+                while nnz_e > 0 {
+                    nnz_e -= 1;
+                    y_idx[nnz_y] = elim_buffer[nnz_e];
+                    nnz_y += 1;
+                }
+            }
+        }
+
+        // Process the reach in topological (reverse insertion) order.
+        for i in (0..nnz_y).rev() {
+            let cidx = y_idx[i];
+            let tmp_idx = l_next_space[cidx];
+            let y_val = y_vals[cidx];
+            for j in l_colptr[cidx]..tmp_idx {
+                y_vals[l_rowidx[j]] -= l_data[j] * y_val;
+            }
+            l_rowidx[tmp_idx] = k;
+            l_data[tmp_idx] = y_val * dinv[cidx];
+            d[k] -= y_val * l_data[tmp_idx];
+            l_next_space[cidx] += 1;
+            y_vals[cidx] = 0.0;
+            y_markers[cidx] = false;
+        }
+
+        if d[k] == 0.0 {
+            return Err(LinsysError::ZeroPivot(k));
+        }
+        if d[k] > 0.0 {
+            pos_d += 1;
+        }
+        dinv[k] = 1.0 / d[k];
+    }
+    Ok(pos_d)
 }
 
 /// Computes the elimination tree and per-column counts of `L` for an
@@ -388,6 +449,23 @@ mod tests {
         assert!((b[0] - 1.0).abs() < 1e-10);
         assert!(b[1].abs() < 1e-10);
         assert!(b[2].abs() < 1e-10);
+    }
+
+    #[test]
+    fn refactor_after_a_failed_refactor_matches_a_fresh_factor() {
+        let d1 = vec![vec![4.0, 1.0, 0.0], vec![1.0, 3.0, 1.0], vec![0.0, 1.0, 5.0]];
+        let mut f = Ldlt::factor(&upper(&d1)).unwrap();
+        // Column 1 scatters row 0 and then hits a zero pivot: 1 − 1·1/1.
+        let singular = vec![vec![1.0, 1.0, 0.0], vec![1.0, 1.0, 1.0], vec![0.0, 1.0, 5.0]];
+        assert!(matches!(f.refactor(&upper(&singular)), Err(LinsysError::ZeroPivot(1))));
+        // The kept workspace is clean again, so the next refactor is exact.
+        let d2 = vec![vec![8.0, 2.0, 0.0], vec![2.0, 6.0, 2.0], vec![0.0, 2.0, 10.0]];
+        f.refactor(&upper(&d2)).unwrap();
+        let fresh = Ldlt::factor(&upper(&d2)).unwrap();
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+        assert_eq!(bits(&f.l_data), bits(&fresh.l_data));
+        assert_eq!(bits(f.d()), bits(fresh.d()));
+        assert_eq!(f.num_positive_d(), 3);
     }
 
     #[test]

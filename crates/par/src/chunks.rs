@@ -12,6 +12,24 @@ pub const PAR_LEN_THRESHOLD: usize = 8192;
 /// Chunk length used by elementwise kernels (`axpy`, `lincomb`, …).
 pub const ELEM_CHUNK: usize = 16_384;
 
+/// Sparse matrices with fewer stored entries than this run their SpMV
+/// inline: below it, waking the pool costs more than splitting the rows
+/// saves. Measured at 2 threads on the benchmark suite's own matrices
+/// (DESIGN §9).
+pub const PAR_NNZ_THRESHOLD: usize = 32_768;
+
+/// Number of row chunks an SpMV over a matrix with `nnz` stored entries is
+/// split into on a pool of `threads`: one (the inline path) for a single
+/// thread or a matrix below [`PAR_NNZ_THRESHOLD`], otherwise two per
+/// thread — a mild oversplit that smooths out rows of uneven cost.
+pub fn spmv_chunks(nnz: usize, threads: usize) -> usize {
+    if threads <= 1 || nnz < PAR_NNZ_THRESHOLD {
+        1
+    } else {
+        2 * threads
+    }
+}
+
 /// Maximum number of chunks a reduction is split into. Fixed so the partial
 /// sums fit a stack array and the combine order never changes.
 pub const MAX_REDUCE_CHUNKS: usize = 128;
@@ -204,6 +222,17 @@ mod tests {
             let got = pool.par_sum(x.len(), chunk, |r| x[r].iter().sum());
             assert_eq!(got.to_bits(), serial_chunked.to_bits(), "threads={threads}");
         }
+    }
+
+    #[test]
+    fn spmv_splits_only_above_the_nnz_threshold() {
+        for threads in [1usize, 2, 8] {
+            assert_eq!(spmv_chunks(0, threads), 1);
+            assert_eq!(spmv_chunks(PAR_NNZ_THRESHOLD - 1, threads), 1);
+        }
+        assert_eq!(spmv_chunks(PAR_NNZ_THRESHOLD, 1), 1);
+        assert_eq!(spmv_chunks(PAR_NNZ_THRESHOLD, 2), 4);
+        assert_eq!(spmv_chunks(10 * PAR_NNZ_THRESHOLD, 8), 16);
     }
 
     #[test]

@@ -28,10 +28,14 @@
 //! performs no heap allocation (the task is passed to workers as a borrowed
 //! pointer guarded by a generation/quiescence protocol). Callers should
 //! still fall back to serial loops below [`PAR_LEN_THRESHOLD`] elements,
-//! where a condvar round-trip costs more than the work.
+//! and to an inline SpMV below [`PAR_NNZ_THRESHOLD`] stored entries
+//! ([`spmv_chunks`]), where a condvar round-trip costs more than the work.
 
 mod chunks;
 mod pool;
 
-pub use chunks::{reduce_chunk_len, ELEM_CHUNK, MAX_REDUCE_CHUNKS, PAR_LEN_THRESHOLD};
+pub use chunks::{
+    reduce_chunk_len, spmv_chunks, ELEM_CHUNK, MAX_REDUCE_CHUNKS, PAR_LEN_THRESHOLD,
+    PAR_NNZ_THRESHOLD,
+};
 pub use pool::{available_threads, ThreadPool};

@@ -17,7 +17,7 @@ use rsqp_linsys::{
     min_degree_ordering, pcg_with, rcm_ordering, KktMatrix, Ldlt, PcgSettings, PcgWorkspace,
     ReducedKktOp, SymmetricPermutation,
 };
-use rsqp_par::ThreadPool;
+use rsqp_par::{spmv_chunks, ThreadPool, PAR_LEN_THRESHOLD};
 use rsqp_sparse::CsrMatrix;
 
 use crate::settings::KktOrdering;
@@ -239,7 +239,9 @@ impl DirectLdltBackend {
     fn refactor(&mut self, rho: &[f64]) -> Result<(), SolverError> {
         self.permutation.refresh_values(self.kkt.matrix())?;
         self.factor.refactor(self.permutation.matrix())?;
-        self.rho_inv = rho.iter().map(|&r| 1.0 / r).collect();
+        for (inv, &r) in self.rho_inv.iter_mut().zip(rho) {
+            *inv = 1.0 / r;
+        }
         self.stats.factorizations += 1;
         Ok(())
     }
@@ -340,8 +342,11 @@ impl CpuPcgBackend {
         Self::with_threads(p, a, sigma, rho, eps, max_iter, 1)
     }
 
-    /// Like [`CpuPcgBackend::new`], but dispatching all kernels on a pool of
-    /// `threads` worker threads (`1` = serial, no pool spawned).
+    /// Like [`CpuPcgBackend::new`], but dispatching its kernels on a pool of
+    /// up to `threads` threads. No worker is spawned when no kernel would
+    /// split its work: every SpMV is below [`rsqp_par::PAR_NNZ_THRESHOLD`]
+    /// stored entries and the PCG vectors are shorter than
+    /// [`PAR_LEN_THRESHOLD`].
     ///
     /// # Panics
     ///
@@ -355,7 +360,10 @@ impl CpuPcgBackend {
         max_iter: usize,
         threads: usize,
     ) -> Self {
-        let pool = Arc::new(ThreadPool::new(threads));
+        // `Aᵀ` has the nnz of `A`, so two matrices decide all three SpMVs.
+        let splits = p.nrows() >= PAR_LEN_THRESHOLD
+            || [p.nnz(), a.nnz()].into_iter().any(|nnz| spmv_chunks(nnz, threads) > 1);
+        let pool = Arc::new(if splits { ThreadPool::new(threads) } else { ThreadPool::serial() });
         let op = ReducedKktOp::with_pool(
             Arc::new(p.clone()),
             Arc::new(a.clone()),
@@ -382,7 +390,8 @@ impl CpuPcgBackend {
         self.eps
     }
 
-    /// Worker threads the backend's kernels dispatch on.
+    /// Threads the backend's kernels dispatch on: 1 when no kernel splits
+    /// its work, whatever was asked for.
     pub fn threads(&self) -> usize {
         self.pool.threads()
     }
@@ -460,6 +469,8 @@ impl KktBackend for CpuPcgBackend {
 
 #[cfg(test)]
 mod tests {
+    use rsqp_par::PAR_NNZ_THRESHOLD;
+
     use super::*;
 
     fn data() -> (CsrMatrix, CsrMatrix, Vec<f64>) {
@@ -540,6 +551,29 @@ mod tests {
         assert!(b.stats().cg_iterations > 0);
         assert!(b.stats().spmv_evals > 0);
         assert_eq!(b.stats().kkt_solves, 1);
+    }
+
+    #[test]
+    fn pcg_backend_spawns_workers_only_when_a_kernel_splits() {
+        let pcg = |p: &CsrMatrix, a: &CsrMatrix, threads: usize| {
+            let rho = vec![0.1; a.nrows()];
+            CpuPcgBackend::with_threads(p, a, 1e-6, &rho, 1e-8, 100, threads).threads()
+        };
+        let identity = |n: usize| CsrMatrix::from_triplets(n, n, (0..n).map(|i| (i, i, 1.0)));
+        let dense = |m: usize, n: usize| {
+            CsrMatrix::from_triplets(m, n, (0..m * n).map(|k| (k / n, k % n, 1.0)))
+        };
+        // Small matrices and short vectors: nothing splits, no workers.
+        let (p, a, _) = data();
+        assert_eq!(pcg(&p, &a, 4), 1);
+        let below = PAR_NNZ_THRESHOLD.div_ceil(400) - 1;
+        assert!(below * 400 < PAR_NNZ_THRESHOLD);
+        assert_eq!(pcg(&identity(400), &dense(below, 400), 2), 1);
+        // An SpMV above the nnz gate, or PCG vectors above the length gate.
+        let above = PAR_NNZ_THRESHOLD.div_ceil(400);
+        assert_eq!(pcg(&identity(400), &dense(above, 400), 2), 2);
+        assert_eq!(pcg(&identity(PAR_LEN_THRESHOLD), &dense(1, PAR_LEN_THRESHOLD), 2), 2);
+        assert_eq!(pcg(&identity(400), &dense(above, 400), 1), 1);
     }
 
     #[test]

@@ -108,10 +108,14 @@ pub struct Settings {
     pub time_limit: Option<std::time::Duration>,
     /// Numerical-guard and recovery-ladder configuration.
     pub guard: GuardSettings,
-    /// Worker threads for the parallel CPU kernels used by PCG-style
-    /// backends (`0` = auto-detect from the host, capped at 8; `1` =
-    /// strictly serial). Results are bit-identical regardless of the value —
-    /// see the determinism contract in `rsqp-par`.
+    /// Upper bound on the threads the parallel CPU kernels of PCG-style
+    /// backends run on (`0` = auto-detect from the host, capped at 8; `1` =
+    /// strictly serial). Small kernels run inline whatever the value: an
+    /// SpMV below `rsqp_par::PAR_NNZ_THRESHOLD` stored entries and vector
+    /// operations below `rsqp_par::PAR_LEN_THRESHOLD` elements, and a
+    /// backend where every kernel is that small spawns no worker. Results
+    /// are bit-identical regardless of the value — see the determinism
+    /// contract in `rsqp-par`.
     pub threads: usize,
     /// Collects a full [`rsqp_obs::SolveTrace`] (phase spans, per-iteration
     /// residuals and PCG counts, ρ-update and guard events) on the returned

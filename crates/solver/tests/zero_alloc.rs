@@ -1,5 +1,6 @@
-//! Asserts the ADMM steady state is allocation-free: once a solver is set
-//! up, extra iterations must not touch the heap.
+//! Asserts the ADMM steady state is allocation-free on both CPU backends
+//! (PCG and direct LDLᵀ): once a solver is set up, extra iterations and ρ
+//! updates must not touch the heap.
 //!
 //! Strategy: a counting global allocator tallies every allocation. Two
 //! identical cold solvers run the same problem with a tiny tolerance (so
@@ -87,9 +88,13 @@ fn problem() -> QpProblem {
     QpProblem::new(p, q, a, l, u).unwrap()
 }
 
-fn settings(max_iter: usize) -> Settings {
+/// Both CPU backends: matrix-free PCG and the direct LDLᵀ, whose ρ update
+/// refactors in place.
+const KINDS: [LinSysKind; 2] = [LinSysKind::CpuPcg, LinSysKind::DirectLdlt];
+
+fn settings(linsys: LinSysKind, max_iter: usize) -> Settings {
     Settings {
-        linsys: LinSysKind::CpuPcg,
+        linsys,
         threads: 1,
         max_iter,
         // Unreachable tolerance: every run ends at MaxIterationsReached, so
@@ -98,23 +103,27 @@ fn settings(max_iter: usize) -> Settings {
         eps_rel: 1e-300,
         cg_tolerance: CgTolerance::Fixed(1e-10),
         polish: false,
-        // Keep ρ adaptation on: its rebuild path must also be in-place.
+        // Keep ρ adaptation on: its rebuild path must also be in-place. At
+        // the default tolerance this problem never moves ρ; at 1 every
+        // proposed change is taken, so long solves do update it.
         adaptive_rho: true,
+        adaptive_rho_tolerance: 1.0,
         ..Settings::default()
     }
 }
 
 /// Runs a cold solve at `max_iter` iterations and returns the number of
-/// allocations performed by `solve_with_control` itself (setup excluded).
-fn allocs_for(max_iter: usize) -> usize {
+/// allocations performed by `solve` itself (setup excluded) and the ρ
+/// updates that solve made.
+fn allocs_for(kind: LinSysKind, max_iter: usize) -> (usize, usize) {
     let prob = problem();
-    let mut solver = Solver::new(&prob, settings(max_iter)).unwrap();
+    let mut solver = Solver::new(&prob, settings(kind, max_iter)).unwrap();
     let before = alloc_count();
     let result = solver.solve().unwrap();
     let during = alloc_count() - before;
     assert_eq!(result.status, Status::MaxIterationsReached);
     assert_eq!(result.iterations, max_iter);
-    during
+    (during, result.rho_updates)
 }
 
 #[test]
@@ -126,48 +135,55 @@ fn counter_sees_this_threads_allocations() {
     drop(v);
     let prob = problem();
     let before = alloc_count();
-    let _solver = Solver::new(&prob, settings(20)).unwrap();
+    let _solver = Solver::new(&prob, settings(LinSysKind::CpuPcg, 20)).unwrap();
     assert!(alloc_count() > before, "solver setup must allocate");
 }
 
 #[test]
 fn admm_steady_state_is_allocation_free() {
-    // Warm up lazy runtime allocations (stdout locks, etc.).
-    let _ = allocs_for(5);
-    let short = allocs_for(20);
-    let long = allocs_for(220);
-    assert_eq!(
-        short, long,
-        "a 220-iteration solve allocated {} times vs {} for 20 iterations — \
-         the ADMM hot path is allocating per iteration",
-        long, short
-    );
+    for kind in KINDS {
+        // Warm up lazy runtime allocations (stdout locks, etc.).
+        let _ = allocs_for(kind, 5);
+        let (short, _) = allocs_for(kind, 20);
+        let (long, rho_updates) = allocs_for(kind, 220);
+        // The long solve must adapt ρ, or the equality below says nothing
+        // about the update path (a refactorization on the direct backend).
+        assert!(rho_updates > 0, "{kind:?}: no ρ update in the long solve");
+        assert_eq!(
+            short, long,
+            "{kind:?}: a 220-iteration solve allocated {long} times vs {short} for 20 \
+             iterations — the ADMM hot path is allocating per iteration"
+        );
+    }
 }
 
 #[test]
 fn manual_rho_update_is_allocation_free() {
     // `update_rho` rebuilds the per-constraint ρ vector into the existing
-    // buffers and the PCG backend copies the new values in place — the
-    // whole call must never touch the heap once the solver exists.
-    let prob = problem();
-    let mut solver = Solver::new(&prob, settings(20)).unwrap();
-    let _ = solver.solve().unwrap();
-    let before = alloc_count();
-    solver.update_rho(0.37).unwrap();
-    solver.update_rho(1.93).unwrap();
-    let during = alloc_count() - before;
-    assert_eq!(
-        during, 0,
-        "update_rho allocated {during} times — the in-place ρ rebuild is \
-         allocating"
-    );
+    // buffers; the PCG backend copies the new values in place and the
+    // direct backend refactors into its existing factor and workspace —
+    // the whole call must never touch the heap once the solver exists.
+    for kind in KINDS {
+        let prob = problem();
+        let mut solver = Solver::new(&prob, settings(kind, 20)).unwrap();
+        let _ = solver.solve().unwrap();
+        let before = alloc_count();
+        solver.update_rho(0.37).unwrap();
+        solver.update_rho(1.93).unwrap();
+        let during = alloc_count() - before;
+        assert_eq!(
+            during, 0,
+            "{kind:?}: update_rho allocated {during} times — the in-place ρ \
+             rebuild is allocating"
+        );
+    }
 }
 
 /// Allocation count of an update→re-solve loop (setup and warm-up solve
 /// excluded): three ρ updates, each followed by a full `max_iter` solve.
-fn allocs_for_update_loop(max_iter: usize) -> usize {
+fn allocs_for_update_loop(kind: LinSysKind, max_iter: usize) -> usize {
     let prob = problem();
-    let mut solver = Solver::new(&prob, settings(max_iter)).unwrap();
+    let mut solver = Solver::new(&prob, settings(kind, max_iter)).unwrap();
     let _ = solver.solve().unwrap();
     let before = alloc_count();
     for k in 0..3usize {
@@ -185,13 +201,14 @@ fn update_resolve_loop_is_allocation_free_per_iteration() {
     // repeat) must not accumulate allocations with iteration count: the
     // per-solve totals at 20 and 220 iterations agree exactly, so neither
     // the updates nor the extra 200 iterations per solve touched the heap.
-    let _ = allocs_for_update_loop(5);
-    let short = allocs_for_update_loop(20);
-    let long = allocs_for_update_loop(220);
-    assert_eq!(
-        short, long,
-        "an update→re-solve loop at 220 iterations allocated {} times vs {} \
-         at 20 iterations — the parametric path is allocating per iteration",
-        long, short
-    );
+    for kind in KINDS {
+        let _ = allocs_for_update_loop(kind, 5);
+        let short = allocs_for_update_loop(kind, 20);
+        let long = allocs_for_update_loop(kind, 220);
+        assert_eq!(
+            short, long,
+            "{kind:?}: an update→re-solve loop at 220 iterations allocated {long} times vs \
+             {short} at 20 iterations — the parametric path is allocating per iteration"
+        );
+    }
 }

@@ -15,13 +15,17 @@
 //! them is therefore strong evidence that each is computing the right
 //! thing: identical termination status, objectives matching to 1e-6, and
 //! final residuals within the termination tolerance. The two PCG thread
-//! counts must additionally agree **bit for bit** (the PR 3 determinism
-//! contract).
+//! counts must additionally agree **bit for bit** (the determinism
+//! contract of `rsqp-par`). These problems are small enough that the
+//! 4-thread backend runs every kernel inline; a separate test solves an
+//! instance above the SpMV nnz gate, where the pool really splits work.
 
 use rsqp::arch::ArchConfig;
 use rsqp::core::FpgaSolver;
 use rsqp::problems::{generate, Domain};
-use rsqp::solver::{CgTolerance, LinSysKind, QpProblem, Settings, SolveResult, Solver, Status};
+use rsqp::solver::{
+    CgTolerance, CpuPcgBackend, LinSysKind, QpProblem, Settings, SolveResult, Solver, Status,
+};
 
 /// Relative objective agreement demanded across backends.
 const OBJ_TOL: f64 = 1e-6;
@@ -124,6 +128,30 @@ fn differential(domain: Domain) {
             ],
         );
     }
+}
+
+/// The families above run below the SpMV nnz gate, where every pool runs
+/// inline. `eqqp` at suite index 15 has a `P` above it, so its solve at two
+/// threads really splits the `P` SpMVs across the pool.
+#[test]
+fn pcg_above_the_nnz_gate_is_thread_invariant() {
+    let size = Domain::Eqqp.size_schedule(20)[15];
+    let problem = generate(Domain::Eqqp, size, 1015);
+    assert!(problem.p().nnz() >= rsqp_par::PAR_NNZ_THRESHOLD, "{}", problem.name());
+    let rho = vec![0.1; problem.num_constraints()];
+    let backend = CpuPcgBackend::with_threads(problem.p(), problem.a(), 1e-6, &rho, 1e-8, 100, 2);
+    assert_eq!(backend.threads(), 2, "the two-thread backend must keep its workers");
+
+    let solve = |threads: usize| {
+        let settings = Settings { linsys: LinSysKind::CpuPcg, threads, ..Default::default() };
+        Solver::new(&problem, settings).unwrap().solve().unwrap()
+    };
+    let (t1, t2) = (solve(1), solve(2));
+    assert_eq!(t1.status, Status::Solved, "{}", problem.name());
+    assert_eq!((t1.iterations, t1.backend), (t2.iterations, t2.backend), "{}", problem.name());
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+    assert_eq!(bits(&t1.x), bits(&t2.x), "{}: x differs between 1 and 2 threads", problem.name());
+    assert_eq!(bits(&t1.y), bits(&t2.y), "{}: y differs between 1 and 2 threads", problem.name());
 }
 
 #[test]
